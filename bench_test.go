@@ -6,7 +6,7 @@ package duel_test
 //	BenchmarkT3Scan*         — x[..N] >? 0, the paper's 5-second example
 //	BenchmarkT4Lookup*       — (1..100)+i, the symbol-lookup claim
 //	BenchmarkT5Symbolic*     — symbolic-value computation on/off
-//	BenchmarkT7Backend*      — push vs machine vs chan evaluators
+//	BenchmarkT7Backend*      — push vs machine vs compiled evaluators
 //	BenchmarkT8Cycle*        — cycle-detection ablation on -->
 //	BenchmarkParse           — expression compilation cost
 //	BenchmarkMicroC          — the debuggee interpreter substrate

@@ -45,9 +45,9 @@ import (
 // Options configure a Session.
 type Options struct {
 	// Backend selects the evaluator implementation: "push" (default),
-	// "machine" (the paper's explicit state machines), "chan" (goroutine
-	// coroutines) or "compiled" (AST-to-closure compiler with cached
-	// programs and scan-aware memory prefetch; see internal/core/compiled).
+	// "machine" (the paper's explicit state machines) or "compiled"
+	// (AST-to-closure compiler with cached programs and scan-aware memory
+	// prefetch; see internal/core/compiled).
 	Backend string
 	// Eval controls evaluation (symbolic values, cycle detection,
 	// safety limits). Zero value means core.DefaultOptions.

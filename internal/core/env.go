@@ -10,7 +10,8 @@
 //
 //   - push: a yield-callback evaluator (idiomatic Go; the default),
 //   - machine: the paper's explicit per-node state/NOVALUE state machine,
-//   - chan: goroutine-per-generator coroutines connected by channels.
+//   - compiled: an AST-to-closure compiler (package core/compiled) that
+//     falls back to push's Drive for the nodes it does not specialize.
 //
 // Differential tests check that the backends agree value-for-value.
 package core
@@ -203,11 +204,6 @@ type Env struct {
 	// warm re-eval profile once the serve locks are gone). It shares the
 	// Env's single-goroutine discipline.
 	sym value.SymArena
-
-	// citerFree recycles the chan backend's coroutine iterators (struct and
-	// channel pair) across generators and evaluations. Guarded by the
-	// backend's one-runnable-coroutine handshake, not a lock; see cgen.gen.
-	citerFree []*citer
 
 	// cancel is set by the Eval deadline watchdog (and cleared when the
 	// evaluation finishes); step checks it so every backend notices a

@@ -49,8 +49,8 @@ func evalEnv(t *testing.T, env *Env, backend, src string) ([]string, error) {
 	return out, evalErr
 }
 
-// TestEvalRecoversPanic: a panic anywhere under Eval — including inside a
-// chan-backend producer goroutine — surfaces as a *PanicError naming the
+// TestEvalRecoversPanic: a panic anywhere under Eval — including deep in a
+// machine-backend state machine — surfaces as a *PanicError naming the
 // expression, never as a process crash.
 func TestEvalRecoversPanic(t *testing.T) {
 	for _, backend := range BackendNames() {

@@ -605,7 +605,7 @@ func (m *machine) eval1(n *ast.Node) (value.Value, bool, error) {
 		for {
 			if st.state == 1 {
 				if st.i-st.hi >= int64(e.Opts.MaxOpenRange) {
-					return value.Value{}, false, fmt.Errorf("duel: unbounded generator exceeded %d values", e.Opts.MaxOpenRange)
+					return value.Value{}, false, fmt.Errorf("duel: unbounded generator %s.. exceeded %d values", st.val.Sym.S, e.Opts.MaxOpenRange)
 				}
 				v := st.i
 				st.i++
@@ -622,7 +622,7 @@ func (m *machine) eval1(n *ast.Node) (value.Value, bool, error) {
 			if err != nil {
 				return value.Value{}, false, err
 			}
-			st.i, st.hi = lo, lo
+			st.i, st.hi, st.val = lo, lo, u
 			st.state = 1
 		}
 

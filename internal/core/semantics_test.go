@@ -300,8 +300,8 @@ func TestCallCartesianProduct(t *testing.T) {
 
 // TestWithStackBalanced: whatever abandons a suspended with mid-sequence
 // (until, select, reductions, sizeof, errors), the name-resolution stack
-// must end every evaluation empty — the machine backend's resetTree and the
-// chan backend's goroutine unwinding both guarantee it.
+// must end every evaluation empty — push pops after the inner call returns,
+// abandoned or not, and the machine backend's resetTree unwinds its trees.
 func TestWithStackBalanced(t *testing.T) {
 	exprs := []string{
 		"(s.(10,20))@15",           // until stops inside the with

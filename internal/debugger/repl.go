@@ -291,7 +291,7 @@ func (r *REPL) help() {
   break f if <expr>   conditional breakpoint (DUEL condition)
   list [line]         show program source around a line
   info <breakpoints|watchpoints|functions|globals|locals|types>
-  set <backend push|machine|chan|compiled | symbolic on|off
+  set <backend %s | symbolic on|off
        | cycledetect on|off | maxsteps n | timeout dur | errorvalues on|off
        | trace on|off>   (trace logs the paper-style eval walkthrough)
   faults [off | key=value ...]   arm deterministic target-fault injection
@@ -304,7 +304,7 @@ func (r *REPL) help() {
   counters            evaluation statistics
   stats               last-eval time, compile-cache and prefetch report
   quit
-`)
+`, strings.Join(core.BackendNames(), "|"))
 }
 
 // cmdStats reports the wall-clock cost of the most recent evaluation and
@@ -496,8 +496,8 @@ opts:
 	qps := float64(st.Completed) / elapsed.Seconds()
 	r.printf("served %d queries in %v with %d workers (%.0f queries/sec)\n",
 		st.Completed, elapsed.Round(time.Microsecond), workers, qps)
-	r.printf("admission: %d admitted, %d shed, %d refused by breaker, %d trips; %d evaluations failed\n",
-		st.Admitted, st.Shed, st.FastFails, st.Trips, failed.Load())
+	r.printf("admission: %d admitted, %d shed, %d refused by quarantine; %d evaluations failed\n",
+		st.Admitted, st.Shed, st.QuarantineFails, failed.Load())
 	r.printf("resilience: %d deadline-expired, %d retried, %d hedged (%d wins), %d quarantined\n",
 		st.DeadlineExpired, st.Retried, st.Hedged, st.HedgeWins, st.Quarantined)
 	meanQ, meanE := time.Duration(0), time.Duration(0)

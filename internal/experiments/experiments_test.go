@@ -43,7 +43,8 @@ func TestT6Counts(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, mod := range []string{"internal/core", "internal/duel/value", "internal/debugger"} {
+	for _, mod := range []string{"internal/core", "internal/duel/value", "internal/debugger",
+		"internal/core/compiled", "internal/serve", "internal/fleet", "non-test (whole repo)"} {
 		if !strings.Contains(out, mod) {
 			t.Errorf("T6 missing %s:\n%s", mod, out)
 		}
@@ -117,7 +118,7 @@ func TestF1Shape(t *testing.T) {
 	if err := F1(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "chan") || !strings.Contains(sb.String(), "push") {
+	if !strings.Contains(sb.String(), "machine") || !strings.Contains(sb.String(), "push") {
 		t.Errorf("F1 missing backend columns:\n%s", sb.String())
 	}
 }

@@ -165,7 +165,6 @@ func TestFleetFailoverRetryExhausted(t *testing.T) {
 		Workers: 2,
 		Retry:   serve.RetryConfig{Disabled: true},
 		Health:  serve.HealthConfig{Disabled: true},
-		Breaker: serve.BreakerConfig{Threshold: 1 << 30},
 	})
 	// Every read faults transiently and retries are off: the fault surfaces
 	// as retry exhaustion, the one substrate verdict that condemns the
@@ -217,7 +216,6 @@ func TestFleetNoReplicaAvailable(t *testing.T) {
 			Workers: 2,
 			Retry:   serve.RetryConfig{Disabled: true},
 			Health:  serve.HealthConfig{Disabled: true},
-			Breaker: serve.BreakerConfig{Threshold: 1 << 30},
 		})
 		s.Register("t", faultdbg.New(buildReplicaImage(t), faultdbg.Plan{
 			Seed:  int64(i + 1),
@@ -264,7 +262,6 @@ func TestFleetFailoverBudget(t *testing.T) {
 		Workers: 2,
 		Retry:   serve.RetryConfig{Disabled: true},
 		Health:  serve.HealthConfig{Disabled: true},
-		Breaker: serve.BreakerConfig{Threshold: 1 << 30},
 	})
 	faulty.Register("t", faultdbg.New(buildReplicaImage(t), faultdbg.Plan{
 		Seed:  1,
@@ -410,7 +407,6 @@ func TestFleetFanoutError(t *testing.T) {
 		Workers: 2,
 		Retry:   serve.RetryConfig{Disabled: true},
 		Health:  serve.HealthConfig{Disabled: true},
-		Breaker: serve.BreakerConfig{Threshold: 1 << 30},
 	})
 	bad.Register("t", faultdbg.New(buildReplicaImage(t), faultdbg.Plan{
 		Seed:  7,

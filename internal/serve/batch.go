@@ -14,7 +14,7 @@
 // Per-member semantics are preserved exactly: each member keeps its own
 // deadline (checked again right before its evaluation — an expired member is
 // shed with ErrDeadlineExceeded and the batch continues), its own context,
-// its own breaker/health/latency accounting, and exactly one emit stream and
+// its own health/latency accounting, and exactly one emit stream and
 // done send. Mutating queries, parse failures and hedged queries never enter
 // a batch; they take the unbatched path unchanged.
 //
@@ -23,7 +23,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -147,22 +146,14 @@ func (s *Server) submitBatched(ctx context.Context, t *targetState, src string, 
 		s.stats.drained.Add(1)
 		return queryOutcome{err: ErrDraining}, true
 	}
-	healthProbe, err := t.health.admit()
+	probe, err := t.health.admit()
 	if err != nil {
 		s.admitMu.RUnlock()
-		return queryOutcome{err: fmt.Errorf("target %q: %w", t.name, err)}, true
-	}
-	probe, err := t.brk.admit()
-	if err != nil {
-		s.admitMu.RUnlock()
-		if healthProbe {
-			t.health.cancelProbe()
-		}
 		return queryOutcome{err: fmt.Errorf("target %q: %w", t.name, err)}, true
 	}
 	j := jobPool.Get().(*job)
 	j.ctx, j.t, j.src, j.emit = ctx, t, src, emit
-	j.deadline, j.probe, j.healthProbe, j.counted = deadline, probe, healthProbe, true
+	j.deadline, j.probe, j.counted = deadline, probe, true
 	j.mutated = false
 	j.enqueuedAt = s.cfg.now()
 	s.stats.admitted.Add(1)
@@ -234,7 +225,7 @@ func (s *Server) flushBatch(t *targetState, draining bool) {
 			} else {
 				s.stats.shed.Add(1)
 			}
-			s.releaseProbes(j)
+			releaseProbe(j)
 			j.done <- refuse
 		}
 	}
@@ -255,7 +246,7 @@ func (s *Server) runBatch(c *job, aff *affinity, id int) {
 	if hst, _, _, _, _ := t.health.snapshot(); hst == TargetQuarantined {
 		for _, j := range c.members {
 			j.queueWait = pickup.Sub(j.enqueuedAt)
-			s.releaseProbes(j)
+			releaseProbe(j)
 			j.done <- fmt.Errorf("target %q: %w", t.name, ErrQuarantined)
 		}
 		return
@@ -265,7 +256,7 @@ func (s *Server) runBatch(c *job, aff *affinity, id int) {
 	if err != nil {
 		for _, j := range c.members {
 			j.queueWait = pickup.Sub(j.enqueuedAt)
-			s.releaseProbes(j)
+			releaseProbe(j)
 			j.ran = true // the query spent its admission; the submitter counts it
 			j.done <- err
 		}
@@ -285,7 +276,7 @@ func (s *Server) runBatch(c *job, aff *affinity, id int) {
 		j.queueWait = pickup.Sub(j.enqueuedAt)
 		n, perr := ses.ParseCached(j.src)
 		if perr != nil {
-			s.releaseProbes(j)
+			releaseProbe(j)
 			j.ran = true
 			j.done <- perr
 			continue
@@ -320,31 +311,13 @@ func (s *Server) runBatch(c *job, aff *affinity, id int) {
 
 // runBatchMember evaluates one batch member on the shared session, with the
 // target read lock already held by runBatch. It mirrors run()'s accounting
-// exactly — per-member deadline, cancellation, drain, breaker, health and
-// latency — and always sends the member's done exactly once.
+// exactly — per-member deadline, cancellation, drain, health and latency —
+// and always sends the member's done exactly once.
 func (s *Server) runBatchMember(j *job, n *ast.Node, ses *duel.Session) {
 	// The member's deadline may have lapsed while earlier members of the
 	// batch evaluated; shed it now, typed, and let the batch continue.
-	if !j.deadline.IsZero() && s.cfg.now().After(j.deadline) {
-		s.releaseProbes(j)
-		s.stats.deadlineExpired.Add(1)
-		j.done <- ErrDeadlineExceeded
-		return
-	}
-	if err := context.Cause(j.ctx); err != nil {
-		s.releaseProbes(j)
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.stats.deadlineExpired.Add(1)
-		} else {
-			s.stats.drained.Add(1)
-		}
-		j.done <- &core.CanceledError{Cause: err}
-		return
-	}
-	if s.hardCtx.Err() != nil {
-		s.releaseProbes(j)
-		s.stats.drained.Add(1)
-		j.done <- ErrDraining
+	if err := s.shedStale(j); err != nil {
+		j.done <- err
 		return
 	}
 
@@ -359,24 +332,10 @@ func (s *Server) runBatchMember(j *job, n *ast.Node, ses *duel.Session) {
 	start := time.Now()
 	err := ses.EvalNodeContext(ctx, n, j.emit)
 	elapsed := time.Since(start)
-	j.evalDur = elapsed
 	stop()
 	cancel()
 
-	infra := infraFailure(err)
-	j.t.brk.record(j.probe, infra)
-	var ce *core.CanceledError
-	if errors.As(err, &ce) {
-		if j.healthProbe {
-			j.t.health.cancelProbe()
-		}
-	} else {
-		slow := s.cfg.Health.SlowLatency > 0 && elapsed > s.cfg.Health.SlowLatency
-		j.t.health.observe(j.healthProbe, infra, slow)
-		if err == nil || errors.Is(err, errTruncated) {
-			j.t.lat.observe(elapsed)
-		}
-	}
+	s.recordOutcome(j, err, elapsed)
 	if Pollutes(n) {
 		ses.ClearAliases()
 	}

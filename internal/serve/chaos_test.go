@@ -40,12 +40,8 @@ func TestServeChaosSoak(t *testing.T) {
 			// slice of the traffic below opts out of hedging to keep the
 			// batch path (coalesced admission, shared warm pass, per-member
 			// accounting) under the same fault pressure as everything else.
-			Batch: BatchConfig{Enabled: true, BatchSize: 4, MaxWait: 200 * time.Microsecond},
-			// The breaker's consecutive-failure fuse would mask the health
-			// path under a 95% storm; park it far away — it has its own
-			// deterministic tests.
-			Breaker: BreakerConfig{Threshold: 1000},
-			Health:  HealthConfig{ProbeInterval: 25 * time.Millisecond},
+			Batch:  BatchConfig{Enabled: true, BatchSize: 4, MaxWait: 200 * time.Microsecond},
+			Health: HealthConfig{ProbeInterval: 25 * time.Millisecond},
 		})
 		// Target "a": a transient-fault storm. Limit bounds each session's
 		// injector so the storm burns itself out mid-soak and recovery is
@@ -102,7 +98,7 @@ func TestServeChaosSoak(t *testing.T) {
 				return false
 			}
 			for _, want := range []error{
-				ErrOverloaded, ErrDraining, ErrCircuitOpen,
+				ErrOverloaded, ErrDraining,
 				ErrQuarantined, ErrBrownout, ErrDeadlineExceeded,
 			} {
 				if errors.Is(err, want) {

@@ -6,13 +6,15 @@ import (
 	"time"
 )
 
-// health.go: per-target health scoring with brownout and quarantine.
+// health.go: per-target health scoring with brownout and quarantine — the
+// serve layer's one mechanism for failing queries fast.
 //
-// The circuit breaker (breaker.go) is a consecutive-failure fuse: it needs N
-// infra failures in a row, and one success resets it — exactly right for a
-// hard-down target, blind to a merely sick one that fails 30% of the time or
-// has gone slow. The health tracker generalizes the breaker into a
-// rate-based signal with a graded response:
+// A consecutive-failure fuse (a circuit breaker) is right for a hard-down
+// target but blind to a merely sick one that fails 30% of the time or has
+// gone slow. The health tracker is a rate-based signal with a graded
+// response, and it covers the hard-down case too: at the default Window of
+// 8, consecutive infra failures leave the score at (7/8)^n, so a dead
+// target browns out on its 6th failure and quarantines on its 11th.
 //
 //	Healthy ──score < brownout──▶ Brownout ──score < quarantine──▶ Quarantined
 //	   ▲                             │                                │
@@ -29,8 +31,8 @@ import (
 //
 // The score is a lossy EWMA over per-query outcome samples (success 1,
 // slow ½, infra failure 0) kept in a fixed-point atomic: racing updates may
-// drop a sample, which only delays a transition by one query — the same
-// heuristic-over-serializer trade the breaker's closed path makes.
+// drop a sample, which only delays a transition by one query. The score is a
+// heuristic, not a ledger, so a healthy target's queries share no lock.
 
 // Health defaults. A zero HealthConfig enables tracking with these values;
 // set Disabled to opt out entirely.
@@ -97,7 +99,7 @@ const healthScale = 1 << 20
 
 // health tracks one target's score and drives its state machine. The score
 // and state are atomics read on every admission; the mutex guards only
-// transitions and the probe slot, mirroring the breaker's layout.
+// transitions and the probe slot.
 type health struct {
 	cfg HealthConfig
 	now func() time.Time
@@ -263,7 +265,7 @@ func (h *health) penalize(n int) {
 }
 
 // snapshot returns the state and counters for Stats aggregation.
-func (h *health) snapshot() (st HealthState, quarantines, qFastFails, brownouts, bSheds int64) {
+func (h *health) snapshot() (st HealthState, quarantines, qFails, brownouts, bSheds int64) {
 	return HealthState(h.state.Load()), h.quarantines.Load(),
 		h.fastFails.Load(), h.brownouts.Load(), h.brownoutSheds.Load()
 }

@@ -190,7 +190,6 @@ func TestRetryBudgetBounded(t *testing.T) {
 		srv := New(Config{
 			Workers: 1,
 			Retry:   RetryConfig{Burst: 1, Ratio: 0.001, Backoff: time.Microsecond},
-			Breaker: BreakerConfig{Threshold: 100},
 		})
 		srv.RegisterFactory("t", func() (*duel.Session, error) {
 			return duel.NewSession(memio.New(flaky, memio.Config{RetryBackoff: time.Microsecond}), duel.DefaultOptions())
@@ -213,48 +212,6 @@ func TestRetryBudgetBounded(t *testing.T) {
 		}
 		if st.Completed != 2 || st.Failed != 2 {
 			t.Fatalf("stats = %+v, want 2 completions / 2 failures", st)
-		}
-	})
-}
-
-// TestRetryOnCircuitOpen: a breaker rejection is a retryable infra failure —
-// the retry burns budget even when the breaker refuses again, and the
-// refusal never counts as an admission or completion.
-func TestRetryOnCircuitOpen(t *testing.T) {
-	checkNoLeak(t, func() {
-		f := buildDebuggee(t)
-		clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-		srv := New(Config{
-			Workers: 1,
-			Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Hour},
-			now:     clk.now,
-		})
-		srv.Register("t", f)
-		defer func() {
-			if err := srv.Shutdown(context.Background()); err != nil {
-				t.Error(err)
-			}
-		}()
-		tst, err := srv.lookup("t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tst.brk.record(false, true)
-		tst.brk.record(false, true) // breaker open, cooldown far away
-
-		_, err = srv.Eval(context.Background(), "t", "x[0]")
-		if !errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("open-breaker query: got %v, want ErrCircuitOpen", err)
-		}
-		st := srv.Stats()
-		if st.Retried != 1 {
-			t.Fatalf("Retried = %d, want 1 (the rejection was retried once)", st.Retried)
-		}
-		if st.FastFails != 2 {
-			t.Fatalf("FastFails = %d, want 2 (original + retry both refused)", st.FastFails)
-		}
-		if st.Admitted != 0 || st.Completed != 0 {
-			t.Fatalf("stats = %+v, want no admissions or completions for refused attempts", st)
 		}
 	})
 }
@@ -346,9 +303,9 @@ func TestHedgeRefusesMutatingQuery(t *testing.T) {
 	})
 }
 
-// healthFixture: a server over a switchable always-failing target, retries
-// off and the breaker out of the way so the health state machine is the
-// only actor, on a pinned clock.
+// healthFixture: a server over a switchable always-failing target, with
+// retries off so every query feeds the health score exactly one sample, on
+// a pinned clock.
 func healthFixture(t *testing.T) (*Server, *flakyTarget, *fakeClock) {
 	t.Helper()
 	flaky := &flakyTarget{Fake: buildDebuggee(t), failN: -1}
@@ -356,7 +313,6 @@ func healthFixture(t *testing.T) (*Server, *flakyTarget, *fakeClock) {
 	srv := New(Config{
 		Workers: 1,
 		Retry:   RetryConfig{Disabled: true},
-		Breaker: BreakerConfig{Threshold: 1 << 30},
 		now:     clk.now,
 	})
 	srv.RegisterFactory("t", func() (*duel.Session, error) {
@@ -427,9 +383,49 @@ func TestBrownoutShedsWritesServesReads(t *testing.T) {
 	})
 }
 
+// TestQuarantineTripPoints pins where a hard-down target trips at the
+// default Window of 8: each consecutive infra failure multiplies the score
+// by 7/8, so it browns out on the 6th failure ((7/8)^6 < 0.5) and
+// quarantines on the 11th ((7/8)^11 < 0.25).
+func TestQuarantineTripPoints(t *testing.T) {
+	checkNoLeak(t, func() {
+		srv, _, _ := healthFixture(t)
+		defer func() {
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Error(err)
+			}
+		}()
+		for i := 1; i <= 11; i++ {
+			_, err := srv.Eval(context.Background(), "t", "x[0]")
+			if !memio.IsRetryExhausted(err) {
+				t.Fatalf("failure %d: got %v, want retry-exhausted fault", i, err)
+			}
+			want := TargetHealthy
+			switch {
+			case i >= 11:
+				want = TargetQuarantined
+			case i >= 6:
+				want = TargetBrownout
+			}
+			if st, _ := srv.TargetHealth("t"); st != want {
+				t.Fatalf("after failure %d: %v, want %v", i, st, want)
+			}
+		}
+		if _, err := srv.Eval(context.Background(), "t", "x[0]"); !errors.Is(err, ErrQuarantined) {
+			t.Fatalf("query after the 11th failure: got %v, want ErrQuarantined", err)
+		}
+		st := srv.Stats()
+		if st.Brownouts != 1 || st.Quarantined != 1 || st.QuarantineFails != 1 {
+			t.Fatalf("Brownouts/Quarantined/QuarantineFails = %d/%d/%d, want 1/1/1",
+				st.Brownouts, st.Quarantined, st.QuarantineFails)
+		}
+	})
+}
+
 // TestQuarantineProbeReadmission pins the full collapse and the probe-based
-// way back: quarantined queries fail fast without touching the target, and
-// one clean probe per interval restores service.
+// way back: quarantined queries fail fast without touching the target, a
+// failed probe keeps the quarantine for another full interval, and one
+// clean probe restores service.
 func TestQuarantineProbeReadmission(t *testing.T) {
 	checkNoLeak(t, func() {
 		srv, flaky, clk := healthFixture(t)
@@ -438,29 +434,51 @@ func TestQuarantineProbeReadmission(t *testing.T) {
 				t.Error(err)
 			}
 		}()
+		calls := func() int {
+			flaky.mu.Lock()
+			defer flaky.mu.Unlock()
+			return flaky.calls
+		}
+		// failFast asserts the next query is refused with ErrQuarantined
+		// without touching the substrate.
+		failFast := func(when string) {
+			t.Helper()
+			before := calls()
+			_, err := srv.Eval(context.Background(), "t", "x[0]")
+			if !errors.Is(err, ErrQuarantined) {
+				t.Fatalf("%s: got %v, want ErrQuarantined", when, err)
+			}
+			if after := calls(); after != before {
+				t.Fatalf("%s: fast-fail touched the target: %d reads -> %d", when, before, after)
+			}
+		}
 
 		driveHealth(t, srv, TargetQuarantined)
+		failFast("quarantined query")
 
-		// Fail fast, without touching the substrate.
-		flaky.mu.Lock()
-		callsBefore := flaky.calls
-		flaky.mu.Unlock()
-		_, err := srv.Eval(context.Background(), "t", "x[0]")
-		if !errors.Is(err, ErrQuarantined) {
-			t.Fatalf("quarantined query: got %v, want ErrQuarantined", err)
+		// A full interval later the next query is the probe. The target is
+		// still sick: the probe reaches it, fails, and the quarantine holds.
+		clk.advance(DefaultProbeInterval)
+		before := calls()
+		if _, err := srv.Eval(context.Background(), "t", "x[0]"); err == nil || errors.Is(err, ErrQuarantined) {
+			t.Fatalf("probe against the sick target: got %v, want its fault", err)
 		}
-		flaky.mu.Lock()
-		callsAfter := flaky.calls
-		flaky.mu.Unlock()
-		if callsAfter != callsBefore {
-			t.Fatalf("fast-fail touched the target: %d reads -> %d", callsBefore, callsAfter)
+		if calls() == before {
+			t.Fatal("the probe never reached the target")
 		}
+		if st, _ := srv.TargetHealth("t"); st != TargetQuarantined {
+			t.Fatalf("state after failed probe = %v, want quarantined", st)
+		}
+		// Inside the next interval, everything fails fast again...
+		failFast("query right after the failed probe")
+		clk.advance(DefaultProbeInterval - time.Millisecond)
+		failFast("query 1ms before the next probe")
 
-		// Heal the substrate; within one probe interval the next query is
-		// admitted as the probe, completes cleanly, and re-admits the
-		// target entirely.
+		// ...and only a full interval after the failed probe is the next
+		// probe admitted. The substrate has healed: the probe completes
+		// cleanly and re-admits the target entirely.
 		flaky.disarm()
-		clk.advance(DefaultProbeInterval + time.Millisecond)
+		clk.advance(time.Millisecond)
 		if _, err := srv.Eval(context.Background(), "t", "x[0]"); err != nil {
 			t.Fatalf("probe after recovery: %v", err)
 		}
@@ -474,8 +492,8 @@ func TestQuarantineProbeReadmission(t *testing.T) {
 		if st.Quarantined != 1 {
 			t.Fatalf("Quarantined transitions = %d, want 1", st.Quarantined)
 		}
-		if st.QuarantineFails == 0 {
-			t.Fatal("QuarantineFails = 0, want at least the one fast-failed query")
+		if st.QuarantineFails != 3 {
+			t.Fatalf("QuarantineFails = %d, want 3 (the fast-failed queries)", st.QuarantineFails)
 		}
 	})
 }

@@ -14,11 +14,6 @@
 //     queue; when the queue is full the server sheds the query immediately
 //     with ErrOverloaded instead of queueing unboundedly and deadlocking
 //     under overload.
-//   - Per-target circuit breakers. Repeated infrastructure failures
-//     (unretryable transient faults, wedged calls, evaluation timeouts)
-//     trip the target's breaker; while open, queries against it fail fast
-//     with ErrCircuitOpen instead of tying workers up on a sick target, and
-//     a half-open probe closes the breaker once the target recovers.
 //   - Per-query governance. Every evaluation runs under the session's
 //     MaxSteps/Timeout limits composed with the caller's context: canceling
 //     the context cancels the evaluator at its next step check AND
@@ -34,8 +29,8 @@
 //     out evaluates under a context carrying the deadline, so expiry
 //     mid-eval cancels the evaluator AND interrupts the memory chain.
 //   - Retry budgets. Transient infrastructure failures — a memio retry
-//     schedule spent to exhaustion, a breaker half-open rejection — are
-//     retried once at the serve layer under a per-target token-bucket
+//     schedule spent to exhaustion on an attempt that delivered nothing —
+//     are retried once at the serve layer under a per-target token-bucket
 //     budget (retry.go): isolated faults heal invisibly, correlated storms
 //     drain the bucket and degrade to single attempts instead of doubling
 //     the load on a sick target.
@@ -45,11 +40,13 @@
 //     result wins, the loser is canceled through its context, and the pair
 //     counts as exactly one admission and one completion (hedge.go).
 //   - Target health: brownout before quarantine. A per-target score fed by
-//     infra-failure and latency signals generalizes the breaker
-//     (health.go): a degraded target first browns out — mutating queries
-//     shed with ErrBrownout while read-only ones keep flowing under the
-//     shared read lock — and only a truly sick one quarantines, failing
-//     fast with ErrQuarantined until a periodic probe completes cleanly.
+//     infra-failure signals (unretryable transient faults, wedged calls,
+//     evaluation timeouts) and latency is the one mechanism that makes
+//     queries fail fast (health.go): a degraded target first browns out —
+//     mutating queries shed with ErrBrownout while read-only ones keep
+//     flowing under the shared read lock — and only a truly sick one
+//     quarantines, failing fast with ErrQuarantined instead of tying
+//     workers up, until a periodic probe completes cleanly.
 //
 // Sessions are pooled per target: a duel.Session evaluates one expression
 // at a time (its name-resolution stack and step budget are per-evaluation
@@ -73,7 +70,7 @@
 //     the target's write epoch and each session lazily flushes its own page
 //     cache the next time it observes a new epoch, instead of the writer
 //     walking and flushing every pooled accessor while readers wait.
-//   - The breaker's closed-state admit/record path is atomic.
+//   - A healthy target's health admit/observe path is atomic.
 //   - Jobs (and their one-shot done channels) are recycled through a
 //     sync.Pool, so the submit→worker→submit round-trip is two direct
 //     channel handoffs with no per-query allocation of its own.
@@ -103,9 +100,6 @@ var (
 	ErrOverloaded = errors.New("serve: overloaded, query shed")
 	// ErrDraining: the server is shutting down and admits nothing new.
 	ErrDraining = errors.New("serve: draining, query refused")
-	// ErrCircuitOpen: the target's circuit breaker is open; the query
-	// failed fast without touching the target.
-	ErrCircuitOpen = errors.New("serve: circuit open, failing fast")
 	// ErrUnknownTarget: no target registered under that name.
 	ErrUnknownTarget = errors.New("serve: unknown target")
 	// ErrDeadlineExceeded: the query's deadline lapsed while it sat in the
@@ -146,8 +140,6 @@ type Config struct {
 	// like duel.NewSession); zero MaxSteps/Timeout get the serving
 	// defaults either way, so serve sessions are always bounded.
 	Session duel.Options
-	// Breaker tunes the per-target circuit breakers.
-	Breaker BreakerConfig
 	// Retry tunes the serve-layer retry budget (see retry.go). The zero
 	// value enables retries with the defaults; set Retry.Disabled to opt
 	// out.
@@ -163,13 +155,13 @@ type Config struct {
 	// Batch.Enabled is set.
 	Batch BatchConfig
 
-	// now overrides the serving clock (breaker cooldowns, queue-deadline
-	// checks, health probe cadence) in tests.
+	// now overrides the serving clock (queue-deadline checks, health probe
+	// cadence) in tests.
 	now func() time.Time
 }
 
 // Stats is a snapshot of a Server's admission and outcome counters.
-// Breaker counters aggregate over all registered targets. Snapshots are
+// Health counters aggregate over all registered targets. Snapshots are
 // internally consistent: Completed never exceeds Admitted.
 type Stats struct {
 	Admitted  int64 // queries accepted into the queue
@@ -177,8 +169,6 @@ type Stats struct {
 	Failed    int64 // completed queries whose evaluation returned an error
 	Shed      int64 // refused with ErrOverloaded
 	Drained   int64 // refused with ErrDraining, or canceled while queued
-	FastFails int64 // refused with ErrCircuitOpen
-	Trips     int64 // breaker trips
 
 	DeadlineExpired int64 // shed in queue with ErrDeadlineExceeded
 	Retried         int64 // serve-layer retry attempts issued under the budget
@@ -264,12 +254,11 @@ type Server struct {
 	stats liveStats
 }
 
-// targetState is one registered target: its session pool, breaker, and the
+// targetState is one registered target: its session pool, health, and the
 // read/write lock that keeps mutating queries exclusive.
 type targetState struct {
 	name    string
 	factory func() (*duel.Session, error)
-	brk     *breaker
 	health  *health
 	retry   *retryBudget
 	lat     latencyEWMA // recent clean-completion latency (hedge delay)
@@ -343,18 +332,17 @@ type affinity struct {
 // read by the submitter after the done receive — the channel's
 // happens-before edge is their synchronization.
 type job struct {
-	ctx         context.Context
-	t           *targetState
-	src         string
-	emit        func(duel.Result) error
-	deadline    time.Time // zero = none; checked again at pickup
-	probe       bool      // this attempt is its target's half-open breaker probe
-	healthProbe bool      // this attempt is its target's quarantine probe
-	hedge       bool      // this attempt is the hedge of a pair
-	counted     bool      // this attempt carries the query's Admitted count
-	ran         bool      // worker → submitter: the evaluation actually ran
-	mutated     bool      // worker → submitter: classified as mutating
-	done        chan error
+	ctx      context.Context
+	t        *targetState
+	src      string
+	emit     func(duel.Result) error
+	deadline time.Time // zero = none; checked again at pickup
+	probe    bool      // this attempt is its target's quarantine probe
+	hedge    bool      // this attempt is the hedge of a pair
+	counted  bool      // this attempt carries the query's Admitted count
+	ran      bool      // worker → submitter: the evaluation actually ran
+	mutated  bool      // worker → submitter: classified as mutating
+	done     chan error
 
 	// members, when non-nil, makes this job a batch container: the worker
 	// runs every member under one target-lock acquisition and one warm pass
@@ -375,7 +363,7 @@ var jobPool = sync.Pool{New: func() any { return &job{done: make(chan error, 1)}
 func putJob(j *job) {
 	j.ctx, j.t, j.src, j.emit = nil, nil, "", nil
 	j.deadline = time.Time{}
-	j.probe, j.healthProbe, j.hedge, j.counted, j.ran, j.mutated = false, false, false, false, false, false
+	j.probe, j.hedge, j.counted, j.ran, j.mutated = false, false, false, false, false
 	j.members = nil
 	j.enqueuedAt = time.Time{}
 	j.queueWait, j.evalDur = 0, 0
@@ -454,7 +442,6 @@ func (s *Server) RegisterFactory(name string, factory func() (*duel.Session, err
 	t := &targetState{
 		name:    name,
 		factory: factory,
-		brk:     newBreaker(s.cfg.Breaker, s.cfg.now),
 		health:  newHealth(s.cfg.Health, s.cfg.now),
 		retry:   newRetryBudget(s.cfg.Retry),
 		rw:      newShardedRW(s.cfg.Workers),
@@ -476,16 +463,6 @@ func (s *Server) lookup(name string) (*targetState, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTarget, name)
 	}
 	return t, nil
-}
-
-// BreakerState reports the named target's breaker state.
-func (s *Server) BreakerState(name string) (BreakerState, error) {
-	t, err := s.lookup(name)
-	if err != nil {
-		return BreakerClosed, err
-	}
-	st, _, _ := t.brk.snapshot()
-	return st, nil
 }
 
 // TargetHealth reports the named target's health state.
@@ -578,9 +555,6 @@ func (s *Server) Stats() Stats {
 	st.EvalNanos = s.stats.evalNanos.Load()
 	s.targetMu.RLock()
 	for _, t := range s.targets {
-		_, trips, fastFails := t.brk.snapshot()
-		st.Trips += trips
-		st.FastFails += fastFails
 		_, quarantines, qFails, brownouts, bSheds := t.health.snapshot()
 		st.Quarantined += quarantines
 		st.QuarantineFails += qFails
@@ -730,17 +704,16 @@ func (s *Server) SubmitContext(ctx context.Context, target, src string, opt Subm
 
 	// Serve-layer retry: one extra attempt, spent from the target's token
 	// bucket, for failures that are the infrastructure's fault and that a
-	// fresh attempt can fix — a breaker rejection that never ran, or a
-	// memio retry schedule spent to exhaustion on an attempt that ran but
-	// delivered nothing. Mutating queries never retry (the failed attempt
-	// may have half-applied its writes).
+	// fresh attempt can fix: a memio retry schedule spent to exhaustion on
+	// an attempt that ran but delivered nothing. Mutating queries never
+	// retry (the failed attempt may have half-applied its writes).
 	if s.retryableOutcome(out, emitted) && t.retry.take() {
 		if (deadline.IsZero() || s.cfg.now().Before(deadline)) && sleepCtx(ctx, t.retry.backoff) {
 			s.stats.retried.Add(1)
 			second := s.runOnce(ctx, t, src, countEmit, deadline, false)
 			// The retry's outcome stands unless it was refused without
-			// running while the original at least ran.
-			if second.ran || !out.ran {
+			// running (quarantined, shed), since the original ran.
+			if second.ran {
 				out = second
 			}
 		}
@@ -762,11 +735,8 @@ func (s *Server) SubmitContext(ctx context.Context, target, src string, opt Subm
 
 // retryableOutcome classifies an attempt outcome for the serve-layer retry.
 func (s *Server) retryableOutcome(out queryOutcome, emitted int) bool {
-	if out.err == nil || out.mutated || emitted > 0 {
+	if out.err == nil || !out.ran || out.mutated || emitted > 0 {
 		return false
-	}
-	if !out.ran {
-		return errors.Is(out.err, ErrCircuitOpen)
 	}
 	return memio.IsRetryExhausted(out.err)
 }
@@ -830,8 +800,8 @@ func (s *Server) runHedged(ctx context.Context, t *targetState, src string, emit
 			return nil
 		}, deadline, false, true)
 		if err != nil {
-			// The hedge could not be placed (overload, drain, breaker,
-			// quarantine): the primary carries on alone.
+			// The hedge could not be placed (overload, drain, quarantine):
+			// the primary carries on alone.
 			hj = nil
 		} else {
 			s.stats.hedged.Add(1)
@@ -907,22 +877,14 @@ func (s *Server) enqueue(ctx context.Context, t *targetState, src string, emit f
 		}
 		return nil, ErrDraining
 	}
-	healthProbe, err := t.health.admit()
+	probe, err := t.health.admit()
 	if err != nil {
 		s.admitMu.RUnlock()
-		return nil, fmt.Errorf("target %q: %w", t.name, err)
-	}
-	probe, err := t.brk.admit()
-	if err != nil {
-		s.admitMu.RUnlock()
-		if healthProbe {
-			t.health.cancelProbe()
-		}
 		return nil, fmt.Errorf("target %q: %w", t.name, err)
 	}
 	j := jobPool.Get().(*job)
 	j.ctx, j.t, j.src, j.emit = ctx, t, src, emit
-	j.deadline, j.probe, j.healthProbe, j.hedge, j.counted = deadline, probe, healthProbe, hedge, counted
+	j.deadline, j.probe, j.hedge, j.counted = deadline, probe, hedge, counted
 	j.enqueuedAt = s.cfg.now()
 	// Count the admission before the enqueue: once the job is in the
 	// queue a worker can complete it at any moment, and a Stats snapshot
@@ -941,18 +903,16 @@ func (s *Server) enqueue(ctx context.Context, t *targetState, src string, emit f
 			s.stats.admitted.Add(-1)
 			s.stats.shed.Add(1)
 		}
-		s.releaseProbes(j)
+		releaseProbe(j)
 		putJob(j)
 		return nil, ErrOverloaded
 	}
 }
 
-// releaseProbes returns any probe slots an attempt held without running.
-func (s *Server) releaseProbes(j *job) {
+// releaseProbe returns the quarantine probe slot of an attempt that never
+// evaluated, so the next admission past the interval may probe instead.
+func releaseProbe(j *job) {
 	if j.probe {
-		j.t.brk.cancelProbe()
-	}
-	if j.healthProbe {
 		j.t.health.cancelProbe()
 	}
 }
@@ -1033,41 +993,13 @@ var errHedgeMutating = errors.New("serve: hedge attempt refused: query mutates t
 // attempts and reports ran/mutated back through the job.
 func (s *Server) run(j *job, aff *affinity, id int) error {
 	j.queueWait = s.cfg.now().Sub(j.enqueuedAt)
-	if !j.deadline.IsZero() && s.cfg.now().After(j.deadline) {
-		// The deadline lapsed while the query sat in the queue: shed it
-		// here, before acquiring a session or the target lock — the whole
-		// point of carrying the deadline through the queue is that an
-		// already-dead query costs the target nothing.
-		s.releaseProbes(j)
-		if j.counted {
-			s.stats.deadlineExpired.Add(1)
-		}
-		return ErrDeadlineExceeded
-	}
-	if err := context.Cause(j.ctx); err != nil {
-		// The caller gave up while the query was queued.
-		s.releaseProbes(j)
-		if j.counted {
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.stats.deadlineExpired.Add(1)
-			} else {
-				s.stats.drained.Add(1)
-			}
-		}
-		return &core.CanceledError{Cause: err}
-	}
-	if s.hardCtx.Err() != nil {
-		// The drain deadline passed while the query was queued.
-		s.releaseProbes(j)
-		if j.counted {
-			s.stats.drained.Add(1)
-		}
-		return ErrDraining
+	if err := s.shedStale(j); err != nil {
+		return err
 	}
 
 	ps, err := s.acquire(j, aff)
 	if err != nil {
-		s.releaseProbes(j)
+		releaseProbe(j)
 		j.ran = true // the query spent its admission; the submitter counts it
 		return err
 	}
@@ -1075,9 +1007,8 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 	n, perr := ses.ParseCached(j.src)
 	if perr != nil {
 		// A parse error never reached the target; it says nothing about
-		// target health, so neither the breaker nor the health score hears
-		// about it.
-		s.releaseProbes(j)
+		// target health, so the health score does not hear about it.
+		releaseProbe(j)
 		retain(j, aff, ps)
 		j.ran = true
 		return perr
@@ -1088,7 +1019,7 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 	if mutating && j.hedge {
 		// Classification happens here, the first place the AST is in
 		// hand; a mutating hedge is refused before the target lock.
-		s.releaseProbes(j)
+		releaseProbe(j)
 		retain(j, aff, ps)
 		return errHedgeMutating
 	}
@@ -1096,7 +1027,7 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 		// Brownout: the degraded target keeps serving reads under the
 		// shared lock, but writes — which take the exclusive lock and
 		// amplify its sickness into pool-wide stalls — are shed.
-		s.releaseProbes(j)
+		releaseProbe(j)
 		retain(j, aff, ps)
 		j.t.health.brownoutSheds.Add(1)
 		return fmt.Errorf("target %q: %w", j.t.name, ErrBrownout)
@@ -1125,7 +1056,6 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 	start := time.Now()
 	err = ses.EvalNodeContext(ctx, n, j.emit)
 	elapsed := time.Since(start)
-	j.evalDur = elapsed
 	if mutating {
 		// Publish the mutation: sessions whose accessors may hold
 		// pre-write bytes flush themselves when they next observe the new
@@ -1139,23 +1069,7 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 	stop()
 	cancel()
 
-	infra := infraFailure(err)
-	j.t.brk.record(j.probe, infra)
-	var ce *core.CanceledError
-	if errors.As(err, &ce) {
-		// A canceled attempt (caller gave up, hedge lost the race) says
-		// nothing about target health, and its latency is the canceler's
-		// choice, not the target's.
-		if j.healthProbe {
-			j.t.health.cancelProbe()
-		}
-	} else {
-		slow := s.cfg.Health.SlowLatency > 0 && elapsed > s.cfg.Health.SlowLatency
-		j.t.health.observe(j.healthProbe, infra, slow)
-		if err == nil || errors.Is(err, errTruncated) {
-			j.t.lat.observe(elapsed)
-		}
-	}
+	s.recordOutcome(j, err, elapsed)
 	if Pollutes(n) {
 		// The query grew session-local state (aliases, DUEL declarations,
 		// interned strings); wipe it so pooled sessions stay
@@ -1166,6 +1080,59 @@ func (s *Server) run(j *job, aff *affinity, id int) error {
 	retain(j, aff, ps)
 	j.ran = true
 	return err
+}
+
+// shedStale refuses an attempt that went stale while it waited — its
+// deadline lapsed, its caller gave up, or the drain deadline passed — before
+// it acquires a session or the target lock: the whole point of carrying the
+// deadline through the queue is that an already-dead query costs the target
+// nothing. It returns nil when the attempt may run.
+func (s *Server) shedStale(j *job) error {
+	if !j.deadline.IsZero() && s.cfg.now().After(j.deadline) {
+		releaseProbe(j)
+		if j.counted {
+			s.stats.deadlineExpired.Add(1)
+		}
+		return ErrDeadlineExceeded
+	}
+	if err := context.Cause(j.ctx); err != nil {
+		releaseProbe(j)
+		if j.counted {
+			if errors.Is(err, context.DeadlineExceeded) {
+				s.stats.deadlineExpired.Add(1)
+			} else {
+				s.stats.drained.Add(1)
+			}
+		}
+		return &core.CanceledError{Cause: err}
+	}
+	if s.hardCtx.Err() != nil {
+		releaseProbe(j)
+		if j.counted {
+			s.stats.drained.Add(1)
+		}
+		return ErrDraining
+	}
+	return nil
+}
+
+// recordOutcome feeds one evaluated attempt's outcome into its target's
+// health score and latency EWMA, and reports the evaluation time back
+// through the job. A canceled attempt (caller gave up, hedge lost the race)
+// says nothing about target health, and its latency is the canceler's
+// choice, not the target's: it only hands back its probe slot.
+func (s *Server) recordOutcome(j *job, err error, elapsed time.Duration) {
+	j.evalDur = elapsed
+	var ce *core.CanceledError
+	if errors.As(err, &ce) {
+		releaseProbe(j)
+		return
+	}
+	slow := s.cfg.Health.SlowLatency > 0 && elapsed > s.cfg.Health.SlowLatency
+	j.t.health.observe(j.probe, infraFailure(err), slow)
+	if err == nil || errors.Is(err, errTruncated) {
+		j.t.lat.observe(elapsed)
+	}
 }
 
 // Shutdown drains the server: admissions stop immediately, queries already
@@ -1336,7 +1303,7 @@ func Pollutes(n *ast.Node) bool {
 	return false
 }
 
-// infraFailure classifies an evaluation error for the circuit breaker: true
+// infraFailure classifies an evaluation error for target health: true
 // for failures that indicate a sick target — transient faults the retry
 // budget could not absorb, wedged or failed operations, evaluation
 // timeouts — and false for everything that is the query's (or caller's) own

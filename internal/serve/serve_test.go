@@ -331,7 +331,7 @@ func TestOverloadSheds(t *testing.T) {
 	})
 }
 
-// fakeClock is the injectable breaker clock.
+// fakeClock is the injectable serving clock.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -347,123 +347,6 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Lock()
 	c.t = c.t.Add(d)
 	c.mu.Unlock()
-}
-
-// TestBreakerTripsFailsFastRecovers pins the breaker lifecycle against an
-// injected sick target and a pinned clock: three straight transient-fault
-// queries trip it; while open, queries fail fast without touching the
-// target; after the cooldown one probe closes it again.
-func TestBreakerTripsFailsFastRecovers(t *testing.T) {
-	checkNoLeak(t, func() {
-		f := buildDebuggee(t)
-		inj := faultdbg.New(f, faultdbg.Plan{
-			Rates: map[faultdbg.Kind]float64{faultdbg.Transient: 1},
-		})
-		clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-		srv := New(Config{
-			Workers: 1,
-			Breaker: BreakerConfig{Threshold: 3, Cooldown: time.Second},
-			// Serve-layer retries off: this test pins the exact
-			// failure count at which the breaker trips, and a retried
-			// attempt would feed the breaker twice per query.
-			Retry: RetryConfig{Disabled: true},
-			now:   clk.now,
-		})
-		srv.RegisterFactory("t", func() (*duel.Session, error) {
-			return duel.NewSession(inj, duel.DefaultOptions())
-		})
-		ctx := context.Background()
-
-		for i := 0; i < 3; i++ {
-			if _, err := srv.Eval(ctx, "t", "x[0]"); err == nil {
-				t.Fatalf("query %d against the sick target unexpectedly succeeded", i)
-			}
-			want := BreakerClosed
-			if i == 2 {
-				want = BreakerOpen
-			}
-			if st, _ := srv.BreakerState("t"); st != want {
-				t.Fatalf("after failure %d: breaker %v, want %v", i+1, st, want)
-			}
-		}
-
-		// Open: fail fast, and prove the target was not touched.
-		opsBefore := inj.Stats().Ops
-		if _, err := srv.Eval(ctx, "t", "x[0]"); !errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("open-breaker submit: got %v, want ErrCircuitOpen", err)
-		}
-		if ops := inj.Stats().Ops; ops != opsBefore {
-			t.Errorf("fast-fail touched the target: %d ops -> %d", opsBefore, ops)
-		}
-
-		// Cooldown elapses, target recovers: the next query is the probe,
-		// its success closes the breaker, and traffic flows again.
-		clk.advance(2 * time.Second)
-		inj.Disarm()
-		if _, err := srv.Eval(ctx, "t", "x[0]"); err != nil {
-			t.Fatalf("probe after recovery failed: %v", err)
-		}
-		if st, _ := srv.BreakerState("t"); st != BreakerClosed {
-			t.Fatalf("after successful probe: breaker %v, want closed", st)
-		}
-		if _, err := srv.Eval(ctx, "t", "x[0]"); err != nil {
-			t.Fatalf("post-recovery query failed: %v", err)
-		}
-
-		if err := srv.Shutdown(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		st := srv.Stats()
-		if st.Trips != 1 {
-			t.Errorf("Trips = %d, want 1", st.Trips)
-		}
-		if st.FastFails != 1 {
-			t.Errorf("FastFails = %d, want 1", st.FastFails)
-		}
-	})
-}
-
-// TestBreakerReopensOnFailedProbe: a probe that fails must re-open the
-// breaker for another full cooldown.
-func TestBreakerReopensOnFailedProbe(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-	b := newBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Second}, clk.now)
-	b.record(false, true)
-	b.record(false, true)
-	if st, _, _ := b.snapshot(); st != BreakerOpen {
-		t.Fatalf("state after threshold = %v, want open", st)
-	}
-	if _, err := b.admit(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("admit while open: %v", err)
-	}
-	clk.advance(1500 * time.Millisecond)
-	probe, err := b.admit()
-	if err != nil || !probe {
-		t.Fatalf("post-cooldown admit: probe=%v err=%v, want probe", probe, err)
-	}
-	// While the probe is out, others still fail fast.
-	if _, err := b.admit(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("admit during probe: %v", err)
-	}
-	b.record(true, true) // the probe fails
-	if st, _, _ := b.snapshot(); st != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", st)
-	}
-	if _, err := b.admit(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("admit inside second cooldown: %v", err)
-	}
-	clk.advance(2 * time.Second)
-	probe, err = b.admit()
-	if err != nil || !probe {
-		t.Fatalf("second probe admit: probe=%v err=%v", probe, err)
-	}
-	b.record(true, false)
-	if st, _, _ := b.snapshot(); st != BreakerClosed {
-		t.Fatalf("state after successful probe = %v, want closed", st)
-	}
-	if _, trips, _ := b.snapshot(); trips != 2 {
-		t.Errorf("trips = %d, want 2", trips)
-	}
 }
 
 // TestShutdownDrainsCleanly: a shutdown with no deadline pressure finishes
@@ -728,20 +611,21 @@ func TestUnknownTarget(t *testing.T) {
 	}
 }
 
-// TestParseErrorDoesNotTripBreaker: malformed queries are the caller's
-// fault; a stream of them must not open the target's breaker.
-func TestParseErrorDoesNotTripBreaker(t *testing.T) {
+// TestParseErrorKeepsTargetHealthy: malformed queries are the caller's
+// fault; a stream of them longer than the quarantine trip point must leave
+// the target healthy with a perfect score.
+func TestParseErrorKeepsTargetHealthy(t *testing.T) {
 	f := buildDebuggee(t)
-	srv := New(Config{Workers: 1, Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Second}})
+	srv := New(Config{Workers: 1})
 	srv.Register("t", f)
 	ctx := context.Background()
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 16; i++ {
 		if _, err := srv.Eval(ctx, "t", "x[.."); err == nil {
 			t.Fatal("malformed query unexpectedly parsed")
 		}
 	}
-	if st, _ := srv.BreakerState("t"); st != BreakerClosed {
-		t.Fatalf("breaker = %v after parse errors, want closed", st)
+	if st, score, _ := srv.TargetHealthScore("t"); st != TargetHealthy || score != 1 {
+		t.Fatalf("health = %v (score %v) after parse errors, want healthy (1)", st, score)
 	}
 	if _, err := srv.Eval(ctx, "t", "x[0]"); err != nil {
 		t.Fatalf("well-formed query failed: %v", err)
