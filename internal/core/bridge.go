@@ -9,7 +9,6 @@ package core
 // differential tests hold the compiled backend to them.
 
 import (
-	"duel/internal/ctype"
 	"duel/internal/duel/ast"
 	"duel/internal/duel/value"
 )
@@ -90,9 +89,6 @@ func (e *Env) WithOpSym(base value.Sym, op string, inner value.Sym) value.Sym {
 	return e.withSym(base, op, inner)
 }
 
-// DfsSym renders a dfs/bfs path with run compression.
-func (e *Env) DfsSym(root value.Sym, steps []string) value.Sym { return e.dfsSym(root, steps) }
-
 // EnterWith opens u's scope on the name-resolution stack for one operand of
 // '.' or '->' (dereferencing through the pointer for arrow). On success the
 // caller must ExitWith after evaluating the scoped subexpression.
@@ -105,21 +101,12 @@ func (e *Env) EnterWith(u value.Value, arrow bool) error {
 	return nil
 }
 
-// EnterExpand opens the scope of one visited node of a --> / -->> traversal:
-// cur is the validated pointer rvalue carrying the path's symbolic value.
-// The caller must ExitWith after generating the node's children.
-func (e *Env) EnterExpand(cur value.Value) error {
-	sv, err := e.Ctx.Deref(cur)
-	if err != nil {
-		return err
-	}
-	entry := withEntry{orig: cur}
-	if _, ok := ctype.Strip(sv.Type).(*ctype.Struct); ok {
-		entry.scope = sv.WithSym(cur.Sym)
-		entry.hasScope = true
-	}
-	e.pushWith(entry)
-	return nil
+// Expand runs e1-->e2 (bfs for -->>) from one value u of e1 with the
+// traversal push uses, prefetching each node's struct under
+// Options.Prefetch: kids generates e2's values under each visited node's
+// scope, and each node is yielded after its children are queued.
+func (e *Env) Expand(u value.Value, bfs bool, kids func(EmitFn) error, yield EmitFn) error {
+	return e.expandEach(u, bfs, e.Opts.Prefetch, kids, yield)
 }
 
 // ExitWith pops the innermost with-scope.

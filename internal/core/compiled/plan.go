@@ -11,8 +11,6 @@
 package compiled
 
 import (
-	"fmt"
-
 	"duel/internal/core"
 	"duel/internal/ctype"
 	"duel/internal/duel/ast"
@@ -184,113 +182,17 @@ func scanLoop(e *core.Env, yield core.EmitFn, rangeNode *ast.Node, u, ru value.V
 	return nil
 }
 
-// prefetchExpandNode makes the struct behind one visited --> node resident
-// before its fields are read. Prefetch works at page granularity, so when
-// the allocator laid list nodes out contiguously one stripe pulls a whole
-// page run of neighbors; scattered heaps degrade to one page per node.
-func prefetchExpandNode(e *core.Env, cur value.Value) {
-	if !e.Opts.Prefetch {
-		return
-	}
-	elem, ok := ctype.PointerElem(cur.Type)
-	if !ok {
-		return
-	}
-	if size := elem.Size(); size > 0 {
-		e.Mem.Prefetch(cur.AsUint(), size)
-	}
-}
-
-// expandItem is one node awaiting a visit in a --> / -->> traversal.
-type expandItem struct {
-	val   value.Value // pointer rvalue
-	steps []string
-}
-
-// compileExpand compiles e1-->e2 (dfs) and e1-->>e2 (bfs), mirroring
-// push's evalExpand with a per-node prefetch in front of the scope open.
+// compileExpand compiles e1-->e2 (dfs) and e1-->>e2 (bfs) onto the
+// traversal push uses, which prefetches each visited node under
+// Options.Prefetch.
 func compileExpand(n *ast.Node) prog {
 	bfs := n.Op == ast.OpBfs
 	root := compile(n.Kids[0])
 	child := compile(n.Kids[1])
 	return stepped(n, func(e *core.Env, yield core.EmitFn) error {
+		kids := func(y core.EmitFn) error { return child(e, y) }
 		return root(e, func(u value.Value) error {
-			ru, err := e.Rval(u)
-			if err != nil {
-				return err
-			}
-			if !ctype.IsPointer(ru.Type) {
-				return fmt.Errorf("duel: %s is not a pointer (%s); cannot expand with -->", u.Sym.S, ru.Type)
-			}
-			if !e.ValidPointer(ru) {
-				return nil // NULL or invalid root: empty expansion
-			}
-			var visited map[uint64]bool
-			if e.Opts.CycleDetect {
-				visited = map[uint64]bool{ru.AsUint(): true}
-			}
-			work := []expandItem{{val: ru}}
-			visits := 0
-			for len(work) > 0 {
-				var it expandItem
-				if bfs {
-					it = work[0]
-					work = work[1:]
-				} else {
-					it = work[len(work)-1]
-					work = work[:len(work)-1]
-				}
-				visits++
-				if visits > e.Opts.MaxExpand {
-					return fmt.Errorf("duel: --> expansion of %s exceeded %d nodes (cycle? enable cycle detection)", u.Sym.S, e.Opts.MaxExpand)
-				}
-				sym := e.DfsSym(u.Sym, it.steps)
-				cur := it.val.WithSym(sym)
-				prefetchExpandNode(e, cur)
-				if err := e.EnterExpand(cur); err != nil {
-					return err
-				}
-				var kids []expandItem
-				kerr := child(e, func(w value.Value) error {
-					rw, err := e.Rval(w)
-					if err != nil {
-						return err
-					}
-					if !ctype.IsPointer(rw.Type) {
-						return fmt.Errorf("duel: --> step %s is not a pointer (%s)", w.Sym.S, rw.Type)
-					}
-					if !e.ValidPointer(rw) {
-						return nil
-					}
-					if visited != nil {
-						a := rw.AsUint()
-						if visited[a] {
-							return nil
-						}
-						visited[a] = true
-					}
-					steps := make([]string, len(it.steps)+1)
-					copy(steps, it.steps)
-					steps[len(it.steps)] = w.Sym.S
-					kids = append(kids, expandItem{val: rw, steps: steps})
-					return nil
-				})
-				e.ExitWith()
-				if kerr != nil {
-					return kerr
-				}
-				if bfs {
-					work = append(work, kids...)
-				} else {
-					for i := len(kids) - 1; i >= 0; i-- {
-						work = append(work, kids[i])
-					}
-				}
-				if err := yield(cur); err != nil {
-					return err
-				}
-			}
-			return nil
+			return e.Expand(u, bfs, kids, yield)
 		})
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -560,17 +561,25 @@ func TestCycleDetection(t *testing.T) {
 	_ = f.PutTargetBytes(head.Addr, value.MakePtr(a.Ptr(node), n1).Bytes)
 
 	n, _ := parser.Parse("#/(chead-->next)", f)
-	// Faithful mode: must hit the expansion cap.
+	// Faithful mode: every backend must hit the expansion cap with the
+	// same typed error.
 	opts := DefaultOptions()
 	opts.MaxExpand = 100
-	b, _ := GetBackend("push")
-	env := NewEnv(f, opts)
-	if err := b.Eval(env, n, func(value.Value) error { return nil }); err == nil {
-		t.Error("cycle terminated without detection")
+	const want = "duel: --> expansion of chead exceeded 100 nodes (cycle? enable cycle detection)"
+	for _, name := range BackendNames() {
+		b, _ := GetBackend(name)
+		err := b.Eval(NewEnv(f, opts), n, func(value.Value) error { return nil })
+		var le *ExpandLimitError
+		if !errors.As(err, &le) || le.Expr != "chead" || le.Limit != 100 {
+			t.Errorf("[%s] cycle without detection: got %v (%T), want *ExpandLimitError{chead, 100}", name, err, err)
+		} else if err.Error() != want {
+			t.Errorf("[%s] error text %q, want %q", name, err.Error(), want)
+		}
 	}
 	// Extension mode: exactly two nodes.
+	b, _ := GetBackend("push")
 	opts.CycleDetect = true
-	env = NewEnv(f, opts)
+	env := NewEnv(f, opts)
 	var got []string
 	if err := b.Eval(env, n, func(v value.Value) error {
 		s, _ := env.FormatScalar(v)

@@ -475,44 +475,6 @@ func (e *Env) withSym(base value.Sym, op string, inner value.Sym) value.Sym {
 // ("6*8" stays "6*8"; "x+1" under * becomes "(x+1)*2").
 func (e *Env) groupSym(s value.Sym) value.Sym { return s }
 
-// dfsSym renders a dfs/bfs path: root symbolic plus the step names, with
-// runs of three or more identical steps compressed to "-->step[[n]]" (the
-// paper compresses "->a->a" chains to "-->a[[2]]"; its own examples print
-// runs of up to three steps expanded, so the threshold here is three —
-// see EXPERIMENTS.md T1 notes).
-func (e *Env) dfsSym(root value.Sym, steps []string) value.Sym {
-	if !e.Opts.Symbolic {
-		return value.Sym{}
-	}
-	e.Num.SymOps++
-	const compressAt = 3
-	var b strings.Builder
-	rs := root.At(value.PrecPostfix)
-	b.Grow(len(rs) + 8*len(steps))
-	b.WriteString(rs)
-	for i := 0; i < len(steps); {
-		j := i
-		for j < len(steps) && steps[j] == steps[i] {
-			j++
-		}
-		run := j - i
-		if run >= compressAt {
-			b.WriteString("-->")
-			b.WriteString(steps[i])
-			b.WriteString("[[")
-			b.WriteString(strconv.Itoa(run))
-			b.WriteString("]]")
-		} else {
-			for k := 0; k < run; k++ {
-				b.WriteString("->")
-				b.WriteString(steps[i])
-			}
-		}
-		i = j
-	}
-	return value.Sym{S: b.String(), Prec: value.PrecPostfix}
-}
-
 // --- storage helpers ---
 
 // declStorage returns (allocating on first use) the target storage of a

@@ -36,6 +36,18 @@ func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("duel: evaluation exceeded %v; aborting", e.Limit)
 }
 
+// ExpandLimitError reports a --> / -->> traversal cut by
+// Options.MaxExpand; on a cyclic structure without Options.CycleDetect it
+// is how the walk ends.
+type ExpandLimitError struct {
+	Expr  string // symbolic value of the traversal's root
+	Limit int
+}
+
+func (e *ExpandLimitError) Error() string {
+	return fmt.Sprintf("duel: --> expansion of %s exceeded %d nodes (cycle? enable cycle detection)", e.Expr, e.Limit)
+}
+
 // CanceledError reports an evaluation aborted because the caller's context
 // was canceled (EvalContext). It unwraps to the context's error, so both
 // errors.Is(err, context.Canceled) and errors.Is(err, context.
@@ -118,7 +130,10 @@ func EvalContext(ctx context.Context, e *Env, b Backend, n *ast.Node, emit EmitF
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if e.Opts.Timeout <= 0 && ctx.Done() == nil {
+	// Read the timeout once: the watchdog may first run after this call
+	// returned, when a REPL "set timeout" is already rewriting Opts.
+	timeout := e.Opts.Timeout
+	if timeout <= 0 && ctx.Done() == nil {
 		return b.Eval(e, n, emit)
 	}
 	e.cancel.Store(false)
@@ -130,8 +145,8 @@ func EvalContext(ctx context.Context, e *Env, b Backend, n *ast.Node, emit EmitF
 	)
 	go func() {
 		var timerC <-chan time.Time
-		if e.Opts.Timeout > 0 {
-			t := time.NewTimer(e.Opts.Timeout)
+		if timeout > 0 {
+			t := time.NewTimer(timeout)
 			defer t.Stop()
 			timerC = t.C
 		}
@@ -176,7 +191,7 @@ func EvalContext(ctx context.Context, e *Env, b Backend, n *ast.Node, emit EmitF
 			if !errors.As(err, &te) {
 				// The abort surfaced as an interrupted memory fault
 				// (or similar); report the deadline as the cause.
-				err = &TimeoutError{Limit: e.Opts.Timeout, Expr: e.exprUnder(n)}
+				err = &TimeoutError{Limit: timeout, Expr: e.exprUnder(n)}
 			}
 		}
 	}

@@ -61,8 +61,8 @@ type mstate struct {
 	withMark int
 	pushed   bool
 
-	// dfs/bfs work list.
-	work []expandItem
+	// dfs/bfs traversal of the current root value.
+	exp *expansion
 
 	// select: collected indices, cache, and emit position.
 	idxs  []int64
@@ -940,39 +940,20 @@ func (m *machine) evalWith(n *ast.Node, st *mstate) (value.Value, bool, error) {
 
 func (m *machine) evalExpand(n *ast.Node, st *mstate) (value.Value, bool, error) {
 	e := m.env
-	bfs := n.Op == ast.OpBfs
 	for {
 		if st.state == 1 {
-			if len(st.work) == 0 {
-				st.state = 0
-			} else {
-				var it expandItem
-				if bfs {
-					it = st.work[0]
-					st.work = st.work[1:]
-				} else {
-					it = st.work[len(st.work)-1]
-					st.work = st.work[:len(st.work)-1]
-				}
-				st.i++
-				if st.i > int64(e.Opts.MaxExpand) {
-					return value.Value{}, false, fmt.Errorf("duel: --> expansion exceeded %d nodes (cycle? enable cycle detection)", e.Opts.MaxExpand)
-				}
-				sym := e.dfsSym(st.val.Sym, it.steps)
-				cur := it.val.WithSym(sym)
-				kids, err := m.expandChildren(n, cur, it, sym)
-				if err != nil {
+			cur, ok, err := st.exp.next()
+			if err != nil {
+				return value.Value{}, false, err
+			}
+			if ok {
+				if err := m.expandChildren(n, cur, st.exp); err != nil {
 					return value.Value{}, false, err
 				}
-				if bfs {
-					st.work = append(st.work, kids...)
-				} else {
-					for i := len(kids) - 1; i >= 0; i-- {
-						st.work = append(st.work, kids[i])
-					}
-				}
+				st.exp.settle()
 				return cur, true, nil
 			}
+			st.state = 0
 		}
 		u, ok, err := m.eval(n.Kids[0])
 		if err != nil {
@@ -981,74 +962,32 @@ func (m *machine) evalExpand(n *ast.Node, st *mstate) (value.Value, bool, error)
 		if !ok {
 			return value.Value{}, false, nil
 		}
-		ru, err := e.rval(u)
-		if err != nil {
+		if st.exp == nil {
+			st.exp = &expansion{}
+		}
+		if err := st.exp.reset(e, u, n.Op == ast.OpBfs); err != nil {
 			return value.Value{}, false, err
-		}
-		if !ctype.IsPointer(ru.Type) {
-			return value.Value{}, false, fmt.Errorf("duel: %s is not a pointer (%s); cannot expand with -->", u.Sym.S, ru.Type)
-		}
-		st.val = u
-		st.i = 0
-		st.work = st.work[:0]
-		if e.validPointer(ru) {
-			st.work = append(st.work, expandItem{val: ru})
-		}
-		st.cache = nil
-		if e.Opts.CycleDetect {
-			st.cache = map[int64]value.Value{} // presence marks visited
-			st.cache[int64(ru.AsUint())] = value.Value{}
 		}
 		st.state = 1
 	}
 }
 
-// expandChildren drains e2 under the node's scope, collecting valid pointer
-// children.
-func (m *machine) expandChildren(n *ast.Node, cur value.Value, it expandItem, sym value.Sym) ([]expandItem, error) {
+// expandChildren drains e2 under the scope of the visited node cur,
+// collecting its children into x.
+func (m *machine) expandChildren(n *ast.Node, cur value.Value, x *expansion) error {
 	e := m.env
-	st := m.st(n)
-	sv, err := e.Ctx.Deref(cur)
-	if err != nil {
-		return nil, err
+	if err := e.enterExpand(cur); err != nil {
+		return err
 	}
-	entry := withEntry{orig: cur}
-	if _, ok := ctype.Strip(sv.Type).(*ctype.Struct); ok {
-		entry.scope = sv.WithSym(sym)
-		entry.hasScope = true
-	}
-	e.pushWith(entry)
 	defer e.popWith()
-	var kids []expandItem
 	for {
 		w, ok, err := m.eval(n.Kids[1])
-		if err != nil {
-			return nil, err
+		if err != nil || !ok {
+			return err
 		}
-		if !ok {
-			return kids, nil
+		if err := x.addChild(w); err != nil {
+			return err
 		}
-		rw, err := e.rval(w)
-		if err != nil {
-			return nil, err
-		}
-		if !ctype.IsPointer(rw.Type) {
-			return nil, fmt.Errorf("duel: --> step %s is not a pointer (%s)", w.Sym.S, rw.Type)
-		}
-		if !e.validPointer(rw) {
-			continue
-		}
-		if st.cache != nil {
-			a := int64(rw.AsUint())
-			if _, seen := st.cache[a]; seen {
-				continue
-			}
-			st.cache[a] = value.Value{}
-		}
-		steps := make([]string, len(it.steps)+1)
-		copy(steps, it.steps)
-		steps[len(it.steps)] = w.Sym.S
-		kids = append(kids, expandItem{val: rw, steps: steps})
 	}
 }
 

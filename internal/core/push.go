@@ -809,12 +809,6 @@ func (e *Env) evalSelect(n *ast.Node, yield EmitFn) error {
 	return nil
 }
 
-// expandItem is one node awaiting a visit in a --> / -->> traversal.
-type expandItem struct {
-	val   value.Value // pointer rvalue
-	steps []string
-}
-
 // evalExpand implements e1-->e2 (depth-first, the paper's dfs with children
 // stacked in reverse) and e1-->>e2 (breadth-first, the paper's "other
 // orderings"). Null or invalid pointers terminate their branch; with
@@ -822,90 +816,9 @@ type expandItem struct {
 // paper's implementation "does not handle cycles").
 func (e *Env) evalExpand(n *ast.Node, yield EmitFn) error {
 	bfs := n.Op == ast.OpBfs
+	kids := func(y EmitFn) error { return e.evalPush(n.Kids[1], y) }
 	return e.evalPush(n.Kids[0], func(u value.Value) error {
-		ru, err := e.rval(u)
-		if err != nil {
-			return err
-		}
-		if !ctype.IsPointer(ru.Type) {
-			return fmt.Errorf("duel: %s is not a pointer (%s); cannot expand with -->", u.Sym.S, ru.Type)
-		}
-		if !e.validPointer(ru) {
-			return nil // NULL or invalid root: empty expansion
-		}
-		var visited map[uint64]bool
-		if e.Opts.CycleDetect {
-			visited = map[uint64]bool{ru.AsUint(): true}
-		}
-		work := []expandItem{{val: ru}}
-		visits := 0
-		for len(work) > 0 {
-			var it expandItem
-			if bfs {
-				it = work[0]
-				work = work[1:]
-			} else {
-				it = work[len(work)-1]
-				work = work[:len(work)-1]
-			}
-			visits++
-			if visits > e.Opts.MaxExpand {
-				return fmt.Errorf("duel: --> expansion of %s exceeded %d nodes (cycle? enable cycle detection)", u.Sym.S, e.Opts.MaxExpand)
-			}
-			sym := e.dfsSym(u.Sym, it.steps)
-			cur := it.val.WithSym(sym)
-			// Open *X and generate the children.
-			sv, err := e.Ctx.Deref(cur)
-			if err != nil {
-				return err
-			}
-			entry := withEntry{orig: cur}
-			if _, ok := ctype.Strip(sv.Type).(*ctype.Struct); ok {
-				entry.scope = sv.WithSym(sym)
-				entry.hasScope = true
-			}
-			e.pushWith(entry)
-			var kids []expandItem
-			kerr := e.evalPush(n.Kids[1], func(w value.Value) error {
-				rw, err := e.rval(w)
-				if err != nil {
-					return err
-				}
-				if !ctype.IsPointer(rw.Type) {
-					return fmt.Errorf("duel: --> step %s is not a pointer (%s)", w.Sym.S, rw.Type)
-				}
-				if !e.validPointer(rw) {
-					return nil
-				}
-				if visited != nil {
-					a := rw.AsUint()
-					if visited[a] {
-						return nil
-					}
-					visited[a] = true
-				}
-				steps := make([]string, len(it.steps)+1)
-				copy(steps, it.steps)
-				steps[len(it.steps)] = w.Sym.S
-				kids = append(kids, expandItem{val: rw, steps: steps})
-				return nil
-			})
-			e.popWith()
-			if kerr != nil {
-				return kerr
-			}
-			if bfs {
-				work = append(work, kids...)
-			} else {
-				for i := len(kids) - 1; i >= 0; i-- {
-					work = append(work, kids[i])
-				}
-			}
-			if err := yield(cur); err != nil {
-				return err
-			}
-		}
-		return nil
+		return e.expandEach(u, bfs, false, kids, yield)
 	})
 }
 
