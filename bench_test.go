@@ -6,7 +6,7 @@ package duel_test
 //	BenchmarkT3Scan*         — x[..N] >? 0, the paper's 5-second example
 //	BenchmarkT4Lookup*       — (1..100)+i, the symbol-lookup claim
 //	BenchmarkT5Symbolic*     — symbolic-value computation on/off
-//	BenchmarkT7Backend*      — push vs machine vs compiled evaluators
+//	BenchmarkT7Backend*      — push vs compiled evaluators
 //	BenchmarkT8Cycle*        — cycle-detection ablation on -->
 //	BenchmarkParse           — expression compilation cost
 //	BenchmarkMicroC          — the debuggee interpreter substrate
@@ -95,8 +95,8 @@ func BenchmarkT1Catalog(b *testing.B) {
 		})
 		// reeval: long-lived sessions re-evaluating the same queries — the
 		// watchpoint/REPL-history load. The compiled backend's source→AST
-		// and program caches are warm here; interpreting backends re-parse
-		// and re-walk every time.
+		// and program caches are warm here; push re-parses and re-walks
+		// every time.
 		b.Run(backend+"/reeval", func(b *testing.B) {
 			entries := soakEntries()
 			targets := map[string]*debugger.Debugger{}

@@ -11,29 +11,10 @@ import (
 	"duel"
 	"duel/internal/core"
 	"duel/internal/faultdbg"
+	"duel/internal/leakcheck"
 	"duel/internal/scenarios"
 	"duel/internal/serve"
 )
-
-// waitNoLeak asserts the goroutine count settles back to (roughly) its
-// pre-test level, mirroring the chan backend's leak checks.
-func waitNoLeak(t *testing.T, before int) {
-	t.Helper()
-	runtime.GC()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
-				before, n, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
 
 // TestSharedSessionConcurrency hammers ONE Session from many goroutines with
 // a mix of evaluations, stat reads and alias clears. The session's internal
@@ -90,7 +71,7 @@ func TestSharedSessionConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	waitNoLeak(t, before)
+	leakcheck.Wait(t, before)
 
 	// The session is still coherent after the storm.
 	res, err := ses.Eval("x[3]")
@@ -202,5 +183,5 @@ func TestFaultSoakConcurrent(t *testing.T) {
 		t.Fatal("concurrent soak executed no queries")
 	}
 	t.Logf("%d concurrent soak query runs", runs)
-	waitNoLeak(t, before)
+	leakcheck.Wait(t, before)
 }

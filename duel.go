@@ -44,10 +44,11 @@ import (
 
 // Options configure a Session.
 type Options struct {
-	// Backend selects the evaluator implementation: "push" (default),
-	// "machine" (the paper's explicit state machines) or "compiled"
-	// (AST-to-closure compiler with cached programs and scan-aware memory
-	// prefetch; see internal/core/compiled).
+	// Backend selects the evaluator implementation: "push" (default; the
+	// paper's yield semantics as Go closures, and the reference) or
+	// "compiled" (AST-to-closure compiler with cached programs and
+	// scan-aware memory prefetch, byte-identical to push; see
+	// internal/core/compiled).
 	Backend string
 	// Eval controls evaluation (symbolic values, cycle detection,
 	// safety limits). Zero value means core.DefaultOptions.
@@ -223,7 +224,7 @@ func (s *Session) Parse(src string) (*ast.Node, error) {
 
 // ParseCached is Parse through the session's source→AST cache (a hit reuses
 // the node, which lets the compiled backend reuse its cached program too).
-// With an interpreting backend it is a plain Parse. Callers that evaluate
+// With the push backend it is a plain Parse. Callers that evaluate
 // the returned node with EvalNode get exactly the EvalFunc fast path, plus
 // the tree in hand — internal/serve classifies queries this way.
 func (s *Session) ParseCached(src string) (*ast.Node, error) {
@@ -437,7 +438,7 @@ func (s *Session) LastEvalTime() time.Duration { return time.Duration(s.lastEval
 // EvalCacheStats reports the compiled fast path's cache effectiveness:
 // source→AST cache hits/misses at the session layer, and compiled-program
 // cache hits/misses plus resident program count inside the backend. All
-// zeros for interpreting backends. It takes the evaluation lock, so it
+// zeros for the push backend. It takes the evaluation lock, so it
 // observes quiesced state — do not call it from within an emit callback.
 func (s *Session) EvalCacheStats() (srcHits, srcMisses, progHits, progMisses int64, progs int) {
 	s.evalMu.Lock()

@@ -14,6 +14,7 @@ import (
 	"duel/internal/dbgif"
 	"duel/internal/debugger"
 	"duel/internal/faultdbg"
+	"duel/internal/leakcheck"
 	"duel/internal/scenarios"
 )
 
@@ -107,7 +108,7 @@ func TestFaultSoakEmptyScheduleTransparent(t *testing.T) {
 }
 
 // TestFaultSoak runs the catalog's non-mutating entries under random seeded
-// fault schedules on all three backends — at least 500 runs. No schedule may
+// fault schedules on every backend — at least 500 runs. No schedule may
 // panic the evaluator, leak a goroutine, or overrun the deadline; errors are
 // expected and must be ordinary typed errors.
 func TestFaultSoak(t *testing.T) {
@@ -167,20 +168,7 @@ func TestFaultSoak(t *testing.T) {
 	t.Logf("%d soak runs", runs)
 
 	// Everything spawned during the soak must have unwound.
-	runtime.GC()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked during soak: %d before, %d after\n%s",
-				before, n, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	leakcheck.Wait(t, before)
 }
 
 // TestErrorValuesAcceptance is the tentpole's acceptance case: with error

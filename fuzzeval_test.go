@@ -2,24 +2,18 @@ package duel_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"duel"
-	"duel/internal/core"
 )
 
 // FuzzEvalDifferential extends the parser fuzzer through the whole
 // evaluation pipeline: any input the parser accepts is executed on the
-// reference interpreter (push), the paper-faithful state machines (machine)
-// and the compiled backend against identical debuggees, and all three must
-// agree on the printed output and the error, byte for byte. The one
-// exception is the MaxSteps safety budget, which machine counts in other
-// units (every resumption of a node's state machine, where push and compiled
-// count node entries): when it cuts a push or machine run short, that run
-// must have printed a prefix of the other's transcript. Run open-ended with
+// reference interpreter (push) and the compiled backend against identical
+// debuggees, and both must agree on the printed output and the error, byte
+// for byte — MaxSteps cuts included, since both count node entries. Run
+// open-ended with
 //
 //	go test -run=NONE -fuzz=FuzzEvalDifferential .
 //
@@ -70,17 +64,10 @@ func FuzzEvalDifferential(f *testing.F) {
 		if len(src) > 512 {
 			return
 		}
-		pushOut, pushCut := fuzzExec(t, "push", src)
-		if compOut, _ := fuzzExec(t, "compiled", src); compOut != pushOut {
+		pushOut := fuzzExec(t, "push", src)
+		if compOut := fuzzExec(t, "compiled", src); compOut != pushOut {
 			t.Errorf("transcript diverged for %q:\n push:\n%s\n compiled:\n%s",
 				src, indent(pushOut), indent(compOut))
-		}
-		machOut, machCut := fuzzExec(t, "machine", src)
-		if machOut != pushOut &&
-			!(machCut && strings.HasPrefix(pushOut, dropLastLine(machOut))) &&
-			!(pushCut && strings.HasPrefix(machOut, dropLastLine(pushOut))) {
-			t.Errorf("transcript diverged for %q:\n push:\n%s\n machine:\n%s",
-				src, indent(pushOut), indent(machOut))
 		}
 	})
 }
@@ -88,13 +75,12 @@ func FuzzEvalDifferential(f *testing.F) {
 // fuzzExec runs src on one backend against a fresh fixture debuggee and
 // returns the full transcript — printed values plus any terminal error, so
 // a query that fails mid-stream still contributes its partial output to the
-// comparison — and whether the step budget cut the run short. The fakedbg
-// allocator is deterministic, so every backend sees identical addresses and
-// transcripts are directly comparable. Safety
+// comparison. The fakedbg allocator is deterministic, so every backend sees
+// identical addresses and transcripts are directly comparable. Safety
 // limits are tightened (and the wall-clock watchdog disabled — it would
 // make runs timing-dependent) so pathological inputs terminate by step
 // count, not by timeout.
-func fuzzExec(t *testing.T, backend, src string) (string, bool) {
+func fuzzExec(t *testing.T, backend, src string) string {
 	t.Helper()
 	opts := duel.DefaultOptions()
 	opts.Backend = backend
@@ -107,15 +93,8 @@ func fuzzExec(t *testing.T, backend, src string) (string, bool) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	err = ses.Exec(&buf, src)
-	if err != nil {
+	if err := ses.Exec(&buf, src); err != nil {
 		fmt.Fprintf(&buf, "error: %v\n", err)
 	}
-	var sl *core.StepLimitError
-	return buf.String(), errors.As(err, &sl)
-}
-
-// dropLastLine strips a transcript's final line (a cut run's error).
-func dropLastLine(s string) string {
-	return s[:strings.LastIndex(strings.TrimSuffix(s, "\n"), "\n")+1]
+	return buf.String()
 }

@@ -14,7 +14,7 @@ type EmitFn func(value.Value) error
 
 // Backend is one implementation of the generator evaluation semantics.
 type Backend interface {
-	// Name identifies the backend ("push", "machine", "compiled").
+	// Name identifies the backend ("push", "compiled").
 	Name() string
 	// Eval drives expression n to completion, calling emit for every
 	// value it produces — the paper's top-level "duel" driver.

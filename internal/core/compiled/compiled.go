@@ -58,8 +58,14 @@ func (backend) Eval(e *core.Env, n *ast.Node, emit core.EmitFn) error {
 		// its configured pass-through behavior between evaluations.
 		defer e.Mem.ReleasePrefetched()
 	}
-	p := cacheOf(e).lookup(n)
-	err := p(e, emit)
+	var err error
+	if e.Opts.Trace != nil {
+		// Options.Trace is written by the reference interpreter; a
+		// traced evaluation runs there, so the trace is push's.
+		err = e.Drive(n, emit)
+	} else {
+		err = cacheOf(e).lookup(n)(e, emit)
+	}
 	if errors.Is(err, core.ErrStop) {
 		return fmt.Errorf("duel: internal error: stop sentinel escaped evaluation")
 	}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"errors"
@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"duel/internal/core"
+	_ "duel/internal/core/compiled"
 	"duel/internal/ctype"
 	"duel/internal/dbgif"
 	"duel/internal/duel/parser"
@@ -49,11 +51,11 @@ func evalStrings(t testing.TB, f *fakedbg.Fake, backend, src string) ([]string, 
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	b, err := GetBackend(backend)
+	b, err := core.GetBackend(backend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := NewEnv(f, DefaultOptions())
+	env := core.NewEnv(f, core.DefaultOptions())
 	var out []string
 	err = b.Eval(env, n, func(v value.Value) error {
 		s, ferr := env.FormatScalar(v)
@@ -83,7 +85,7 @@ func mustEval(t *testing.T, backend, src string, want ...string) {
 
 func allBackends(t *testing.T, src string, want ...string) {
 	t.Helper()
-	for _, b := range BackendNames() {
+	for _, b := range core.BackendNames() {
 		mustEval(t, b, src, want...)
 	}
 }
@@ -161,7 +163,7 @@ func TestOperatorSemantics(t *testing.T) {
 // right operand is re-evaluated for every value of the left one, so side
 // effects repeat (and symbol lookups multiply, the T4 claim).
 func TestBinaryReevaluatesRight(t *testing.T) {
-	for _, b := range BackendNames() {
+	for _, b := range core.BackendNames() {
 		// Assignments display as "lvalue = stored value", so the right
 		// operand's symbolic is the plain "i".
 		mustEval(t, b, "i = 0; (10,20,30) + (i += 1)",
@@ -175,8 +177,8 @@ func TestLookupCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := NewEnv(f, DefaultOptions())
-	b, _ := GetBackend("push")
+	env := core.NewEnv(f, core.DefaultOptions())
+	b, _ := core.GetBackend("push")
 	if err := b.Eval(env, n, func(value.Value) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +190,10 @@ func TestLookupCounting(t *testing.T) {
 func TestSymbolicToggleSkipsSymOps(t *testing.T) {
 	f := newFake(t)
 	n, _ := parser.Parse("x[..10] >? 0", f)
-	opts := DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.Symbolic = false
-	env := NewEnv(f, opts)
-	b, _ := GetBackend("push")
+	env := core.NewEnv(f, opts)
+	b, _ := core.GetBackend("push")
 	if err := b.Eval(env, n, func(value.Value) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +217,7 @@ func TestErrors(t *testing.T) {
 		"sizeof(1..0)",  // empty sizeof operand
 		"1..(1,)",       // parse error
 	} {
-		for _, b := range BackendNames() {
+		for _, b := range core.BackendNames() {
 			if _, err := evalStrings(t, f, b, src); err == nil {
 				t.Errorf("[%s] %q evaluated without error", b, src)
 			}
@@ -228,12 +230,12 @@ func TestErrors(t *testing.T) {
 func TestUnboundedGeneratorCapped(t *testing.T) {
 	f := newFake(t)
 	n, _ := parser.Parse("#/(0..)", f)
-	opts := DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.MaxOpenRange = 1000
 	const want = "duel: unbounded generator 0.. exceeded 1000 values"
-	for _, name := range BackendNames() {
-		b, _ := GetBackend(name)
-		env := NewEnv(f, opts)
+	for _, name := range core.BackendNames() {
+		b, _ := core.GetBackend(name)
+		env := core.NewEnv(f, opts)
 		err := b.Eval(env, n, func(value.Value) error { return nil })
 		if err == nil || err.Error() != want {
 			t.Errorf("[%s] unbounded count: got %v, want %q", name, err, want)
@@ -254,7 +256,7 @@ func TestFrameScopes(t *testing.T) {
 		{{Name: "v", Type: a.Int, Addr: addr0}},
 		{{Name: "v", Type: a.Int, Addr: addr1}},
 	}
-	for _, b := range BackendNames() {
+	for _, b := range core.BackendNames() {
 		got, err := evalStrings(t, f, b, "frame(0..1).v")
 		if err != nil {
 			t.Fatalf("[%s] %v", b, err)
@@ -278,7 +280,7 @@ func TestDifferentialRandom(t *testing.T) {
 		src := randExpr(rng, 0)
 		var ref []string
 		var refErr error
-		for i, b := range BackendNames() {
+		for i, b := range core.BackendNames() {
 			// A fresh image per backend: generated expressions may
 			// mutate the target.
 			f := newFake(t)
@@ -352,7 +354,7 @@ func TestDifferentialDfsWith(t *testing.T) {
 		}
 		var ref []string
 		var refErr error
-		for i, b := range BackendNames() {
+		for i, b := range core.BackendNames() {
 			f := listFake(t)
 			got, err := evalStrings(t, f, b, src)
 			if i == 0 {
@@ -467,8 +469,8 @@ func TestSelectIsIndexing(t *testing.T) {
 
 func TestAliasIsolationAcrossEvals(t *testing.T) {
 	f := newFake(t)
-	env := NewEnv(f, DefaultOptions())
-	b, _ := GetBackend("push")
+	env := core.NewEnv(f, core.DefaultOptions())
+	b, _ := core.GetBackend("push")
 	run := func(src string) []string {
 		n, err := parser.Parse(src, f)
 		if err != nil {
@@ -526,7 +528,7 @@ func TestDfsOverFakeList(t *testing.T) {
 	head := f.MustVar("head", a.Ptr(node))
 	_ = f.PutTargetBytes(head.Addr, value.MakePtr(a.Ptr(node), addrs[0]).Bytes)
 
-	for _, b := range BackendNames() {
+	for _, b := range core.BackendNames() {
 		got, err := evalStrings(t, f, b, "head-->next->value")
 		if err != nil {
 			t.Fatalf("[%s] %v", b, err)
@@ -563,13 +565,13 @@ func TestCycleDetection(t *testing.T) {
 	n, _ := parser.Parse("#/(chead-->next)", f)
 	// Faithful mode: every backend must hit the expansion cap with the
 	// same typed error.
-	opts := DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.MaxExpand = 100
 	const want = "duel: --> expansion of chead exceeded 100 nodes (cycle? enable cycle detection)"
-	for _, name := range BackendNames() {
-		b, _ := GetBackend(name)
-		err := b.Eval(NewEnv(f, opts), n, func(value.Value) error { return nil })
-		var le *ExpandLimitError
+	for _, name := range core.BackendNames() {
+		b, _ := core.GetBackend(name)
+		err := b.Eval(core.NewEnv(f, opts), n, func(value.Value) error { return nil })
+		var le *core.ExpandLimitError
 		if !errors.As(err, &le) || le.Expr != "chead" || le.Limit != 100 {
 			t.Errorf("[%s] cycle without detection: got %v (%T), want *ExpandLimitError{chead, 100}", name, err, err)
 		} else if err.Error() != want {
@@ -577,9 +579,9 @@ func TestCycleDetection(t *testing.T) {
 		}
 	}
 	// Extension mode: exactly two nodes.
-	b, _ := GetBackend("push")
+	b, _ := core.GetBackend("push")
 	opts.CycleDetect = true
-	env := NewEnv(f, opts)
+	env := core.NewEnv(f, opts)
 	var got []string
 	if err := b.Eval(env, n, func(v value.Value) error {
 		s, _ := env.FormatScalar(v)

@@ -6,10 +6,10 @@
 // value of the left one, comparisons yield their left operand, with/dfs
 // manipulate a name-resolution stack, and so on).
 //
-// Three interchangeable backends realize the same semantics:
+// Two interchangeable backends realize the same semantics:
 //
-//   - push: a yield-callback evaluator (idiomatic Go; the default),
-//   - machine: the paper's explicit per-node state/NOVALUE state machine,
+//   - push: a yield-callback evaluator (idiomatic Go; the default and the
+//     reference),
 //   - compiled: an AST-to-closure compiler (package core/compiled) that
 //     falls back to push's Drive for the nodes it does not specialize.
 //
@@ -100,12 +100,14 @@ type Options struct {
 	// stripes fall back to ordinary reads — and with MemCache off the
 	// stripes are released after every evaluation, so the accessor returns
 	// to the faithful one-read-one-round-trip regime between commands. The
-	// interpreting backends ignore it.
+	// push backend ignores it.
 	Prefetch bool
-	// Trace, when non-nil, makes the machine backend log every eval call
-	// in the style of the paper's §Semantics walkthrough of
-	// (1..3)+(5,9): one line per produced value (or NOVALUE) per node,
-	// indented by recursion depth. Other backends ignore it.
+	// Trace, when non-nil, logs every node's evaluation in the style of
+	// the paper's §Semantics walkthrough of (1..3)+(5,9): one line per
+	// value a node produces, then NOVALUE (or the error) when it is done,
+	// indented by the node's depth in the AST. The push evaluator writes
+	// the trace; the compiled backend runs traced evaluations on push, so
+	// the trace is the same on both.
 	Trace io.Writer
 }
 
@@ -182,7 +184,7 @@ type Env struct {
 	Num  Counters
 	// Mem is the session's single gateway for target-memory traffic; it is
 	// the same accessor Ctx.D holds, so the value engine, the display layer
-	// and all three backends share its cache and counters.
+	// and both backends share its cache and counters.
 	Mem *memio.Accessor
 
 	aliases    map[string]value.Value
@@ -195,7 +197,7 @@ type Env struct {
 
 	// backendCache is an opaque per-session slot for backend-specific
 	// compiled artifacts (the compiled backend keeps its program cache
-	// here); the interpreting backends ignore it. See BackendCache.
+	// here); push ignores it. See BackendCache.
 	backendCache any
 
 	// sym is the arena the symbolic helpers below compose derivation
@@ -213,6 +215,12 @@ type Env struct {
 	// recovery and timeout errors can report the symbolic expression
 	// under evaluation.
 	lastNode atomic.Pointer[ast.Node]
+
+	// traceNode and traceDepth carry Options.Trace's state through
+	// evalPush: the node whose traced body is being entered, and the AST
+	// depth of the node about to be traced.
+	traceNode  *ast.Node
+	traceDepth int
 }
 
 // NewEnv returns a fresh environment over the given debugger, routing all
@@ -269,6 +277,7 @@ func (e *Env) ResetCounters() {
 func (e *Env) beginEval() {
 	e.steps = 0
 	e.withStack = e.withStack[:0]
+	e.traceNode, e.traceDepth = nil, 0
 	if e.Opts.LookupCache {
 		e.varCache = make(map[string]dbgif.VarInfo)
 	} else {

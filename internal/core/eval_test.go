@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"errors"
@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"duel/internal/core"
+	_ "duel/internal/core/compiled"
 	"duel/internal/duel/parser"
 	"duel/internal/duel/value"
 	"duel/internal/fakedbg"
@@ -24,18 +26,18 @@ func (p *panicky) GetTargetBytes(addr uint64, n int) ([]byte, error) {
 
 // evalOn parses src and drives it through the hardened Eval boundary on the
 // named backend, returning the produced lines and the final error.
-func evalEnv(t *testing.T, env *Env, backend, src string) ([]string, error) {
+func evalEnv(t *testing.T, env *core.Env, backend, src string) ([]string, error) {
 	t.Helper()
 	n, err := parser.Parse(src, env.Mem)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	b, err := GetBackend(backend)
+	b, err := core.GetBackend(backend)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []string
-	evalErr := Eval(env, b, n, func(v value.Value) error {
+	evalErr := core.Eval(env, b, n, func(v value.Value) error {
 		s, ferr := env.FormatScalar(v)
 		if ferr != nil {
 			return ferr
@@ -50,15 +52,15 @@ func evalEnv(t *testing.T, env *Env, backend, src string) ([]string, error) {
 }
 
 // TestEvalRecoversPanic: a panic anywhere under Eval — including deep in a
-// machine-backend state machine — surfaces as a *PanicError naming the
+// compiled closure program — surfaces as a *PanicError naming the
 // expression, never as a process crash.
 func TestEvalRecoversPanic(t *testing.T) {
-	for _, backend := range BackendNames() {
+	for _, backend := range core.BackendNames() {
 		t.Run(backend, func(t *testing.T) {
 			f := newFake(t)
-			env := NewEnv(&panicky{Fake: f}, DefaultOptions())
+			env := core.NewEnv(&panicky{Fake: f}, core.DefaultOptions())
 			_, err := evalEnv(t, env, backend, "x[2]+1")
-			var pe *PanicError
+			var pe *core.PanicError
 			if !errors.As(err, &pe) {
 				t.Fatalf("error = %v, want *PanicError", err)
 			}
@@ -75,14 +77,14 @@ func TestEvalRecoversPanic(t *testing.T) {
 // TestEvalStepLimit: MaxSteps aborts a runaway evaluation with a typed error
 // naming the limit and the node being evaluated.
 func TestEvalStepLimit(t *testing.T) {
-	for _, backend := range BackendNames() {
+	for _, backend := range core.BackendNames() {
 		t.Run(backend, func(t *testing.T) {
 			f := newFake(t)
-			opts := DefaultOptions()
+			opts := core.DefaultOptions()
 			opts.MaxSteps = 100
-			env := NewEnv(f, opts)
+			env := core.NewEnv(f, opts)
 			_, err := evalEnv(t, env, backend, "#/(0..1000000)")
-			var se *StepLimitError
+			var se *core.StepLimitError
 			if !errors.As(err, &se) {
 				t.Fatalf("error = %v, want *StepLimitError", err)
 			}
@@ -96,16 +98,16 @@ func TestEvalStepLimit(t *testing.T) {
 // TestEvalTimeout: the watchdog aborts a long CPU-bound evaluation with a
 // *TimeoutError well before it would complete on its own.
 func TestEvalTimeout(t *testing.T) {
-	for _, backend := range BackendNames() {
+	for _, backend := range core.BackendNames() {
 		t.Run(backend, func(t *testing.T) {
 			f := newFake(t)
-			opts := DefaultOptions()
+			opts := core.DefaultOptions()
 			opts.Timeout = 30 * time.Millisecond
-			env := NewEnv(f, opts)
+			env := core.NewEnv(f, opts)
 			start := time.Now()
 			_, err := evalEnv(t, env, backend, "#/(0..2000000000)")
 			elapsed := time.Since(start)
-			var te *TimeoutError
+			var te *core.TimeoutError
 			if !errors.As(err, &te) {
 				t.Fatalf("error = %v, want *TimeoutError", err)
 			}
@@ -125,23 +127,23 @@ func TestEvalTimeout(t *testing.T) {
 // debugger is released by the watchdog's interrupt, so the deadline holds
 // even when the time is lost below the interface, not in the evaluator.
 func TestEvalTimeoutReleasesWedgedCall(t *testing.T) {
-	for _, backend := range BackendNames() {
+	for _, backend := range core.BackendNames() {
 		t.Run(backend, func(t *testing.T) {
 			f := newFake(t)
 			inj := faultdbg.New(f, faultdbg.Plan{
 				Rates: map[faultdbg.Kind]float64{faultdbg.CallHang: 1},
 				Hang:  time.Minute,
 			})
-			opts := DefaultOptions()
+			opts := core.DefaultOptions()
 			opts.Timeout = 50 * time.Millisecond
-			env := NewEnv(inj, opts)
+			env := core.NewEnv(inj, opts)
 			start := time.Now()
 			_, err := evalEnv(t, env, backend, "twice(3)")
 			elapsed := time.Since(start)
 			if err == nil {
 				t.Fatal("wedged call succeeded")
 			}
-			var te *TimeoutError
+			var te *core.TimeoutError
 			if !errors.As(err, &te) {
 				t.Fatalf("error = %v, want *TimeoutError", err)
 			}
@@ -156,16 +158,21 @@ func TestEvalTimeoutReleasesWedgedCall(t *testing.T) {
 // yields a symbolic error value and the generator keeps producing; with it
 // off, the same fault aborts the whole evaluation (the paper's behavior).
 func TestErrorValuesContainment(t *testing.T) {
-	for _, backend := range BackendNames() {
+	for _, backend := range core.BackendNames() {
 		t.Run(backend, func(t *testing.T) {
 			f := newFake(t)
 			inj := faultdbg.New(f, faultdbg.Plan{
 				Script: []faultdbg.ScriptEntry{{Op: 3, Kind: faultdbg.Unmapped}},
 			})
 
-			opts := DefaultOptions()
+			// The script faults the third host operation, which is the
+			// read of x[2] only when every element costs one read. With
+			// prefetch the compiled planner reads all of x in one
+			// operation and there is no third, so prefetch is off here.
+			opts := core.DefaultOptions()
 			opts.ErrorValues = true
-			env := NewEnv(inj, opts)
+			opts.Prefetch = false
+			env := core.NewEnv(inj, opts)
 			out, err := evalEnv(t, env, backend, "x[..6]")
 			if err != nil {
 				t.Fatalf("contained eval failed: %v", err)
@@ -188,7 +195,7 @@ func TestErrorValuesContainment(t *testing.T) {
 				Script: []faultdbg.ScriptEntry{{Op: 3, Kind: faultdbg.Unmapped}},
 			})
 			opts.ErrorValues = false
-			env = NewEnv(inj, opts)
+			env = core.NewEnv(inj, opts)
 			if _, err := evalEnv(t, env, backend, "x[..6]"); err == nil {
 				t.Fatal("faithful mode swallowed the fault")
 			}

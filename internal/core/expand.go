@@ -57,67 +57,16 @@ type expandItem struct {
 	path *expandPath
 }
 
-// expansion is the traversal state of e1-->e2 (or -->>) for one value of
-// e1. Push and compiled drive it through Env.expandEach; machine steps it
-// from its per-node state.
+// expansion is the state one Env.expandEach traversal keeps across its
+// visits: the rendered root, the visited set, and the path and children
+// of the node being visited.
 type expansion struct {
 	e       *Env
-	root    string // the root's symbolic value, for the limit error
 	prefix  string // the root rendered at postfix precedence
-	bfs     bool
-	work    []expandItem
-	kids    []expandItem // children of the node being visited
+	kids    []expandItem
 	visited map[uint64]bool
-	visits  int
 	at      *expandPath   // path of the node being visited
 	runs    []*expandPath // render scratch
-}
-
-// reset starts a traversal from root value u. A NULL or invalid root
-// leaves an empty expansion.
-func (x *expansion) reset(e *Env, u value.Value, bfs bool) error {
-	ru, err := e.rval(u)
-	if err != nil {
-		return err
-	}
-	if !ctype.IsPointer(ru.Type) {
-		return fmt.Errorf("duel: %s is not a pointer (%s); cannot expand with -->", u.Sym.S, ru.Type)
-	}
-	*x = expansion{e: e, root: u.Sym.S, bfs: bfs, work: x.work[:0], kids: x.kids[:0], runs: x.runs}
-	if e.Opts.Symbolic {
-		x.prefix = u.Sym.At(value.PrecPostfix)
-	}
-	if !e.validPointer(ru) {
-		return nil
-	}
-	if e.Opts.CycleDetect {
-		x.visited = map[uint64]bool{ru.AsUint(): true}
-	}
-	x.work = append(x.work, expandItem{val: ru})
-	return nil
-}
-
-// next takes the next node to visit — the oldest for bfs, the newest for
-// dfs — and returns it carrying its path's symbolic value; ok is false
-// once the traversal is done.
-func (x *expansion) next() (value.Value, bool, error) {
-	if len(x.work) == 0 {
-		return value.Value{}, false, nil
-	}
-	var it expandItem
-	if x.bfs {
-		it = x.work[0]
-		x.work = x.work[1:]
-	} else {
-		it = x.work[len(x.work)-1]
-		x.work = x.work[:len(x.work)-1]
-	}
-	x.visits++
-	if x.visits > x.e.Opts.MaxExpand {
-		return value.Value{}, false, &ExpandLimitError{Expr: x.root, Limit: x.e.Opts.MaxExpand}
-	}
-	x.at = it.path
-	return it.val.WithSym(x.sym(it.path)), true, nil
 }
 
 // addChild takes one value of e2 for the node being visited: a valid,
@@ -148,20 +97,6 @@ func (x *expansion) addChild(w value.Value) error {
 	}
 	x.kids = append(x.kids, expandItem{val: rw, path: path})
 	return nil
-}
-
-// settle queues the visited node's children: in order for bfs, reversed
-// for dfs so the first child is visited first (the paper's dfs stacks
-// them in reverse).
-func (x *expansion) settle() {
-	if x.bfs {
-		x.work = append(x.work, x.kids...)
-	} else {
-		for i := len(x.kids) - 1; i >= 0; i-- {
-			x.work = append(x.work, x.kids[i])
-		}
-	}
-	x.kids = x.kids[:0]
 }
 
 // sym renders the symbolic value of the node at path p: the root, then
@@ -205,36 +140,68 @@ func (x *expansion) sym(p *expandPath) value.Sym {
 
 // expandEach runs e1-->e2 (bfs for -->>) from one value u of e1: each
 // node is visited under its own scope, where kids generates its e2
-// values, and is yielded after its children are queued. With prefetch
+// values, and is yielded after its children are queued — in order for
+// bfs, reversed for dfs so the first child is visited first (the paper's
+// dfs stacks them in reverse). The next node is the oldest queued for bfs,
+// the newest for dfs. A NULL or invalid root visits nothing. With prefetch
 // the struct behind each node is made resident before its fields are
 // read.
 func (e *Env) expandEach(u value.Value, bfs, prefetch bool, kids func(EmitFn) error, yield EmitFn) error {
-	var x expansion
-	if err := x.reset(e, u, bfs); err != nil {
+	ru, err := e.rval(u)
+	if err != nil {
 		return err
 	}
+	if !ctype.IsPointer(ru.Type) {
+		return fmt.Errorf("duel: %s is not a pointer (%s); cannot expand with -->", u.Sym.S, ru.Type)
+	}
+	if !e.validPointer(ru) {
+		return nil
+	}
+	x := expansion{e: e}
+	if e.Opts.Symbolic {
+		x.prefix = u.Sym.At(value.PrecPostfix)
+	}
+	if e.Opts.CycleDetect {
+		x.visited = map[uint64]bool{ru.AsUint(): true}
+	}
 	child := x.addChild
-	for {
-		cur, ok, err := x.next()
-		if err != nil || !ok {
-			return err
+	work := []expandItem{{val: ru}}
+	for visits := 1; len(work) > 0; visits++ {
+		var it expandItem
+		if bfs {
+			it, work = work[0], work[1:]
+		} else {
+			it, work = work[len(work)-1], work[:len(work)-1]
 		}
+		if visits > e.Opts.MaxExpand {
+			return &ExpandLimitError{Expr: u.Sym.S, Limit: e.Opts.MaxExpand}
+		}
+		x.at = it.path
+		cur := it.val.WithSym(x.sym(it.path))
 		if prefetch {
 			e.prefetchNode(cur)
 		}
 		if err := e.enterExpand(cur); err != nil {
 			return err
 		}
-		err = kids(child)
+		err := kids(child)
 		e.popWith()
 		if err != nil {
 			return err
 		}
-		x.settle()
+		if bfs {
+			work = append(work, x.kids...)
+		} else {
+			for i := len(x.kids) - 1; i >= 0; i-- {
+				work = append(work, x.kids[i])
+			}
+		}
+		x.kids = x.kids[:0]
 		if err := yield(cur); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
 // enterExpand opens the scope of one visited node: cur is the pointer

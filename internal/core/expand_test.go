@@ -1,9 +1,11 @@
-package core
+package core_test
 
 import (
 	"strings"
 	"testing"
 
+	"duel/internal/core"
+	_ "duel/internal/core/compiled"
 	"duel/internal/ctype"
 	"duel/internal/duel/parser"
 	"duel/internal/duel/value"
@@ -29,13 +31,8 @@ func TestExpandSymGolden(t *testing.T) {
 		{value.Sym{S: "r", Prec: value.PrecPostfix}, "a a a b a a a a", "r-->a[[3]]->b-->a[[4]]"},
 		{value.Sym{S: "p+1", Prec: value.PrecAdditive}, "next", "(p+1)->next"},
 	} {
-		e := NewEnv(newFake(t), DefaultOptions())
-		x := expansion{e: e, prefix: c.root.At(value.PrecPostfix)}
-		var p *expandPath
-		for _, f := range strings.Fields(c.steps) {
-			p = p.push(f)
-		}
-		got := x.sym(p)
+		e := core.NewEnv(newFake(t), core.DefaultOptions())
+		got := core.ExpandSym(e, c.root, strings.Fields(c.steps))
 		if got.S != c.want || got.Prec != value.PrecPostfix {
 			t.Errorf("%s + [%s]: got %q (prec %d), want %q", c.root.S, c.steps, got.S, got.Prec, c.want)
 		}
@@ -90,7 +87,7 @@ func TestExpandOrderAndSymbols(t *testing.T) {
 			"t->left->left->value = 4", "t->right->right->value = 5", "t-->left[[3]]->value = 6",
 		}},
 	} {
-		for _, name := range BackendNames() {
+		for _, name := range core.BackendNames() {
 			got, err := evalStrings(t, f, name, c.query)
 			if err != nil {
 				t.Fatalf("[%s] %s: %v", name, c.query, err)
@@ -107,11 +104,11 @@ func TestExpandOrderAndSymbols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
+	opts := core.DefaultOptions()
 	opts.Symbolic = false
-	for _, name := range BackendNames() {
-		b, _ := GetBackend(name)
-		env := NewEnv(f, opts)
+	for _, name := range core.BackendNames() {
+		b, _ := core.GetBackend(name)
+		env := core.NewEnv(f, opts)
 		var got []string
 		if err := b.Eval(env, n, func(v value.Value) error {
 			s, _ := env.FormatScalar(v)

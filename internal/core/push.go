@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"duel/internal/ctype"
 	"duel/internal/dbgif"
@@ -11,10 +12,10 @@ import (
 	"duel/internal/duel/value"
 )
 
-// pushBackend is the default evaluator: each operator enumerates its
-// operands' values with nested yield callbacks. It implements exactly the
-// paper's operational semantics (the "simplified code" with yield), compiled
-// to Go closures instead of per-node state machines.
+// pushBackend is the default evaluator and the reference semantics: each
+// operator enumerates its operands' values with nested yield callbacks. It
+// implements exactly the paper's operational semantics (the "simplified
+// code" with yield) as Go closures.
 type pushBackend struct{}
 
 func init() { RegisterBackend(pushBackend{}) }
@@ -34,6 +35,14 @@ func (pushBackend) Eval(e *Env, n *ast.Node, emit EmitFn) error {
 
 // evalPush produces every value of n through yield.
 func (e *Env) evalPush(n *ast.Node, yield EmitFn) error {
+	// Under Options.Trace each node first goes through evalTraced, which
+	// re-enters here for the node's own body with traceNode set to it.
+	if e.Opts.Trace != nil {
+		if e.traceNode != n {
+			return e.evalTraced(n, yield)
+		}
+		e.traceNode = nil
+	}
 	if err := e.step(n); err != nil {
 		return err
 	}
@@ -462,6 +471,48 @@ func (e *Env) evalPush(n *ast.Node, yield EmitFn) error {
 		return e.evalCall(n, yield)
 	}
 	return fmt.Errorf("duel: unimplemented operator %s", n.Op)
+}
+
+// evalTraced runs node n of evalPush under Options.Trace, in the style of
+// the paper's §Semantics walkthrough of (1..3)+(5,9): it logs
+// "eval(<op>) -> <value>" for each value n yields and "-> NOVALUE" (or
+// "-> error: ...") when n returns, indented by n's depth in the AST. A node
+// abandoned early by its consumer (errStop) logs nothing on return.
+func (e *Env) evalTraced(n *ast.Node, yield EmitFn) error {
+	w := e.Opts.Trace
+	depth := e.traceDepth
+	indent := strings.Repeat("  ", depth)
+	e.traceDepth = depth + 1
+	e.traceNode = n
+	err := e.evalPush(n, func(v value.Value) error {
+		fmt.Fprintf(w, "%seval(%s) -> %s\n", indent, n.Op, e.traceText(v))
+		// The consumer is n's parent: the operands it evaluates next
+		// are n's siblings and indent like n.
+		e.traceDepth = depth
+		err := yield(v)
+		e.traceDepth = depth + 1
+		return err
+	})
+	e.traceDepth = depth
+	switch {
+	case err == nil:
+		fmt.Fprintf(w, "%seval(%s) -> NOVALUE\n", indent, n.Op)
+	case !errors.Is(err, errStop):
+		fmt.Fprintf(w, "%seval(%s) -> error: %v\n", indent, n.Op, err)
+	}
+	return err
+}
+
+// traceText renders one traced value: its scalar text, or its type when it
+// has none (a struct, an array, a frame scope).
+func (e *Env) traceText(v value.Value) string {
+	if s, err := e.FormatScalar(v); err == nil {
+		return s
+	}
+	if v.Type == nil {
+		return "<frame>"
+	}
+	return "<" + v.Type.String() + ">"
 }
 
 // --- helpers ---

@@ -1,10 +1,12 @@
-package core
+package core_test
 
 import (
 	"errors"
 	"strings"
 	"testing"
 
+	"duel/internal/core"
+	_ "duel/internal/core/compiled"
 	"duel/internal/ctype"
 	"duel/internal/dbgif"
 	"duel/internal/duel/parser"
@@ -44,7 +46,7 @@ func evalOn(t *testing.T, f *fakedbg.Fake, backend, src string) ([]string, error
 
 func wantAll(t *testing.T, f func(tb testing.TB) *fakedbg.Fake, src string, want ...string) {
 	t.Helper()
-	for _, b := range BackendNames() {
+	for _, b := range core.BackendNames() {
 		fake := f(t)
 		got, err := evalOn(t, fake, b, src)
 		if err != nil {
@@ -110,12 +112,12 @@ func TestWhileRestartsBody(t *testing.T) {
 // TestGeneratorLHSAssignment: assignments distribute over generator lvalues.
 func TestGeneratorLHSAssignment(t *testing.T) {
 	f := newFake(t)
-	for _, b := range BackendNames() {
+	for _, b := range core.BackendNames() {
 		if _, err := evalStrings(t, f, b, "x[0..2] += 100 ;"); err != nil {
 			t.Fatalf("[%s] %v", b, err)
 		}
 	}
-	// Three backends ran: each added 100 to x[0..2].
+	// Every backend ran: each added 100 to x[0..2].
 	got, err := evalStrings(t, newFake(t), "push", "x[0..2]")
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +138,8 @@ func TestAssignmentChains(t *testing.T) {
 	wantAll(t, newStructFakeTB, "int p; int q; p = q = 7; p+q", "p+q = 14")
 }
 
-// TestUntilInsideImply: mid-sequence abandonment (until) must fully reset
-// node state so re-entry starts fresh — the regression trap for the machine
-// backend's explicit state.
+// TestUntilInsideImply: mid-sequence abandonment (until, select, reductions,
+// sizeof) must leave nothing behind, so re-entry starts fresh.
 func TestUntilInsideImply(t *testing.T) {
 	wantAll(t, newStructFakeTB, "(1..2) => ((10..20)@13)",
 		"10", "11", "12", "10", "11", "12")
@@ -163,7 +164,7 @@ func TestConditionalInWith(t *testing.T) {
 // TestMemErrorType: illegal references surface as *value.MemError through
 // any backend.
 func TestMemErrorType(t *testing.T) {
-	for _, b := range BackendNames() {
+	for _, b := range core.BackendNames() {
 		f := newStructFake(t)
 		_, err := evalStrings(t, f, b, "((struct pair *)8)->a")
 		if err == nil {
@@ -196,7 +197,7 @@ func TestDeepGeneratorNesting(t *testing.T) {
 	// 1+(0,1)+(0,1)+... has 2^200 combinations; take the first few via
 	// select to keep it finite.
 	src := "(" + sb.String() + ")[[0..3]]"
-	for _, b := range BackendNames() {
+	for _, b := range core.BackendNames() {
 		f := newStructFake(t)
 		got, err := evalOn(t, f, b, src)
 		if err != nil {
@@ -220,12 +221,12 @@ func TestSymbolicParenthesization(t *testing.T) {
 // leak a scope into sibling operands, while complex with-expressions keep
 // the paper semantics.
 func TestCScopingOption(t *testing.T) {
-	for _, backend := range BackendNames() {
+	for _, backend := range core.BackendNames() {
 		f := newStructFake(t)
-		b, _ := GetBackend(backend)
-		opts := DefaultOptions()
+		b, _ := core.GetBackend(backend)
+		opts := core.DefaultOptions()
 		opts.CScoping = true
-		env := NewEnv(f, opts)
+		env := core.NewEnv(f, opts)
 		run := func(src string) []string {
 			n, err := parser.Parse(src, f)
 			if err != nil {
@@ -263,8 +264,8 @@ func TestCScopingOption(t *testing.T) {
 }
 
 // TestCallCartesianProduct pins the paper's rule that a function with
-// generator arguments is called for all combinations of values — including
-// the machine backend's odometer implementation with three arguments.
+// generator arguments is called for all combinations of values, with three
+// arguments enumerated like an odometer.
 func TestCallCartesianProduct(t *testing.T) {
 	mk := func(tb testing.TB) *fakedbg.Fake {
 		f := newStructFake(tb)
@@ -291,7 +292,7 @@ func TestCallCartesianProduct(t *testing.T) {
 	// A generator callee: the function is enumerated too.
 	wantAll(t, mk, "(sum3, sum3)(1, 1, 1)", "sum3(1, 1, 1) = 111", "sum3(1, 1, 1) = 111")
 	// Argument count mismatch errors.
-	for _, b := range BackendNames() {
+	for _, b := range core.BackendNames() {
 		if _, err := evalStrings(t, mk(t), b, "sum3(1, 2)"); err == nil {
 			t.Errorf("[%s] short call accepted", b)
 		}
@@ -300,8 +301,8 @@ func TestCallCartesianProduct(t *testing.T) {
 
 // TestWithStackBalanced: whatever abandons a suspended with mid-sequence
 // (until, select, reductions, sizeof, errors), the name-resolution stack
-// must end every evaluation empty — push pops after the inner call returns,
-// abandoned or not, and the machine backend's resetTree unwinds its trees.
+// must end every evaluation empty: each with pops its scope after the inner
+// call returns, abandoned or not.
 func TestWithStackBalanced(t *testing.T) {
 	exprs := []string{
 		"(s.(10,20))@15",           // until stops inside the with
@@ -312,11 +313,11 @@ func TestWithStackBalanced(t *testing.T) {
 		"(1..2) => (s.(a,b))[[0]]", // abandon then re-enter
 		"s.(a,b)",                  // plain full drain
 	}
-	for _, backend := range BackendNames() {
-		b, _ := GetBackend(backend)
+	for _, backend := range core.BackendNames() {
+		b, _ := core.GetBackend(backend)
 		for _, src := range exprs {
 			f := newStructFake(t)
-			env := NewEnv(f, DefaultOptions())
+			env := core.NewEnv(f, core.DefaultOptions())
 			n, err := parser.Parse(src, f)
 			if err != nil {
 				t.Fatalf("parse %q: %v", src, err)
@@ -324,13 +325,13 @@ func TestWithStackBalanced(t *testing.T) {
 			if err := b.Eval(env, n, func(value.Value) error { return nil }); err != nil {
 				t.Fatalf("[%s] %q: %v", backend, src, err)
 			}
-			if len(env.withStack) != 0 {
-				t.Errorf("[%s] %q left %d with-scopes pushed", backend, src, len(env.withStack))
+			if core.WithDepth(env) != 0 {
+				t.Errorf("[%s] %q left %d with-scopes pushed", backend, src, core.WithDepth(env))
 			}
 		}
 		// Errors mid-with must also unwind (the next eval starts clean).
 		f := newStructFake(t)
-		env := NewEnv(f, DefaultOptions())
+		env := core.NewEnv(f, core.DefaultOptions())
 		n, _ := parser.Parse("s.(a / (a-a))", f)
 		if err := b.Eval(env, n, func(value.Value) error { return nil }); err == nil {
 			t.Fatalf("[%s] division by zero succeeded", backend)
@@ -357,16 +358,16 @@ func TestWithStackBalanced(t *testing.T) {
 // faithful mode catches at the cap), while sequencing with ';' finishes the
 // walk before the store.
 func TestMutationDuringSuspendedTraversal(t *testing.T) {
-	for _, backend := range BackendNames() {
-		b, _ := GetBackend(backend)
+	for _, backend := range core.BackendNames() {
+		b, _ := core.GetBackend(backend)
 		// Lazy: the traversal observes its own mutation. The store goes
 		// through a node the walk has not yet expanded (children are
 		// generated when a node is popped, per the paper's dfs), so the
 		// new back edge is followed and faithful mode hits the cap.
 		f := listFake(t)
-		opts := DefaultOptions()
+		opts := core.DefaultOptions()
 		opts.MaxExpand = 100
-		env := NewEnv(f, opts)
+		env := core.NewEnv(f, opts)
 		n, err := parser.Parse("(head-->next ==? head->next->next)->next->next = head ;", f)
 		if err != nil {
 			t.Fatal(err)
@@ -376,7 +377,7 @@ func TestMutationDuringSuspendedTraversal(t *testing.T) {
 		}
 		// Sequenced: the walk completes first, then the store.
 		f = listFake(t)
-		env = NewEnv(f, opts)
+		env = core.NewEnv(f, opts)
 		n, err = parser.Parse("last := head-->next ==? head->next->next->next; last->next = head ;", f)
 		if err != nil {
 			t.Fatal(err)
@@ -385,9 +386,9 @@ func TestMutationDuringSuspendedTraversal(t *testing.T) {
 			t.Errorf("[%s] sequenced store failed: %v", backend, err)
 		}
 		// The list is now a ring: cycle detection counts 4 nodes.
-		opts2 := DefaultOptions()
+		opts2 := core.DefaultOptions()
 		opts2.CycleDetect = true
-		env = NewEnv(f, opts2)
+		env = core.NewEnv(f, opts2)
 		n, _ = parser.Parse("#/(head-->next)", f)
 		var got []string
 		if err := b.Eval(env, n, func(v value.Value) error {

@@ -196,7 +196,7 @@ func TestQueriesAllBackends(t *testing.T) {
 		"g":         "g = 42\n",
 	}
 	var ref []string
-	for _, backend := range []string{"push", "machine", "compiled"} {
+	for _, backend := range []string{"push", "compiled"} {
 		t.Run(backend, func(t *testing.T) {
 			opts := duel.DefaultOptions()
 			opts.Backend = backend

@@ -1101,10 +1101,10 @@ func (r *REPL) cmdSet(rest string) error {
 		r.printf("errorvalues = %v\n", val == "on")
 	case "trace":
 		// Tracing shows the paper's per-node evaluation walkthrough;
-		// it is implemented by the machine (state/NOVALUE) backend.
+		// the push (reference) evaluator writes it.
 		if val == "on" {
-			if r.Ses.Backend.Name() != "machine" {
-				if err := r.cmdSet("backend machine"); err != nil {
+			if r.Ses.Backend.Name() != "push" {
+				if err := r.cmdSet("backend push"); err != nil {
 					return err
 				}
 			}

@@ -170,7 +170,7 @@ func TestMutationThroughDuel(t *testing.T) {
 
 func TestSetCommands(t *testing.T) {
 	out := runScript(t, listProgram,
-		"set backend machine",
+		"set backend compiled",
 		"run",
 		"duel head-->next->v",
 		"set backend chan",

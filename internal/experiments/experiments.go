@@ -607,8 +607,8 @@ func countGoLines(dir string, tests, recursive bool) (int, error) {
 
 // T7 times a standard query suite on each backend.
 func T7(w io.Writer) error {
-	fmt.Fprintln(w, "T7: generator-backend ablation (push closures vs the paper's explicit")
-	fmt.Fprintln(w, "    state machine)")
+	fmt.Fprintln(w, "T7: generator-backend ablation (push closures vs the compiled closure")
+	fmt.Fprintln(w, "    program)")
 	fmt.Fprintln(w, "----------------------------------------------------------------------")
 	queries := []struct{ name, q string }{
 		{"scan", "x[..5000] >? 0"},
@@ -620,7 +620,7 @@ func T7(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	backends := []string{"push", "machine"}
+	backends := []string{"push", "compiled"}
 	fmt.Fprintf(w, "%-12s", "query")
 	for _, b := range backends {
 		fmt.Fprintf(w, " %16s", b)
@@ -660,8 +660,10 @@ func T7(w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "\nthe paper: \"more efficient implementations of generators are possible\";")
-	fmt.Fprintln(w, "closures beat per-call state machines. True coroutines (goroutines and")
-	fmt.Fprintln(w, "channels) paid two synchronizations per produced value and were retired.")
+	fmt.Fprintln(w, "closures beat per-call state machines, which ran at 0.9-1.8x push, and")
+	fmt.Fprintln(w, "true coroutines (goroutines and channels), which paid two synchronizations")
+	fmt.Fprintln(w, "per produced value; both were retired (EXPERIMENTS.md T7 keeps their")
+	fmt.Fprintln(w, "numbers).")
 	return nil
 }
 

@@ -118,7 +118,7 @@ func TestF1Shape(t *testing.T) {
 	if err := F1(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "machine") || !strings.Contains(sb.String(), "push") {
+	if !strings.Contains(sb.String(), "compiled") || !strings.Contains(sb.String(), "push") {
 		t.Errorf("F1 missing backend columns:\n%s", sb.String())
 	}
 }

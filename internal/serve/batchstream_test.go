@@ -16,6 +16,7 @@ import (
 
 	"duel"
 	"duel/internal/dbgif"
+	"duel/internal/leakcheck"
 )
 
 // countingTarget wraps a debuggee and counts host read round-trips, so the
@@ -55,7 +56,7 @@ func waitPending(t *testing.T, tst *targetState, want int) {
 // batch — one flush, one target-lock acquisition — and every member still
 // gets its own correct, complete transcript.
 func TestBatchCoalescesSizeFlush(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		const members = 32
 		f := buildDebuggee(t)
 		srv := New(Config{
@@ -164,7 +165,7 @@ func TestBatchWarmPassSharesReads(t *testing.T) {
 // TestBatchMaxWaitFlushesLoneQuery: a single query must not be parked
 // behind BatchSize forever — the MaxWait timer flushes a batch of one.
 func TestBatchMaxWaitFlushesLoneQuery(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 		srv := New(Config{
 			Workers: 2,
@@ -204,7 +205,7 @@ func TestBatchMaxWaitFlushesLoneQuery(t *testing.T) {
 // the batch is queued is shed with the typed ErrDeadlineExceeded — and the
 // rest of the batch still evaluates.
 func TestBatchMemberDeadlineExpiresQueued(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 		clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 		srv := New(Config{
@@ -263,7 +264,7 @@ func TestBatchMemberDeadlineExpiresQueued(t *testing.T) {
 // a batch is all reads. The flush-time health re-check only stops a batch
 // whose target has fully quarantined.
 func TestBatchStraddlesBrownout(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 		srv := New(Config{
 			Workers: 1,
@@ -309,7 +310,7 @@ func TestBatchStraddlesBrownout(t *testing.T) {
 }
 
 // streamBackends is the full backend matrix the byte-identity test runs.
-var streamBackends = []string{"push", "machine", "compiled"}
+var streamBackends = []string{"push", "compiled"}
 
 // TestStreamMatchesSubmit holds SubmitStream to byte-identity with the
 // collected path on every backend: same queries, same order, and every
@@ -325,7 +326,7 @@ func TestStreamMatchesSubmit(t *testing.T) {
 	}
 	for _, backend := range streamBackends {
 		t.Run(backend, func(t *testing.T) {
-			checkNoLeak(t, func() {
+			leakcheck.Check(t, func() {
 				f := buildDebuggee(t)
 				opts := duel.DefaultOptions()
 				opts.Backend = backend
@@ -386,7 +387,7 @@ func TestStreamMatchesSubmit(t *testing.T) {
 func TestStreamAbandonment(t *testing.T) {
 	for _, backend := range streamBackends {
 		t.Run(backend, func(t *testing.T) {
-			checkNoLeak(t, func() {
+			leakcheck.Check(t, func() {
 				f := buildDebuggee(t)
 				opts := duel.DefaultOptions()
 				opts.Backend = backend

@@ -11,6 +11,7 @@ import (
 	"duel"
 	"duel/internal/core"
 	"duel/internal/faultdbg"
+	"duel/internal/leakcheck"
 	"duel/internal/memio"
 )
 
@@ -23,12 +24,12 @@ import (
 // panics, no mystery failures), Completed must never exceed Admitted at any
 // sampled instant, and once the plans' fault budgets are spent the target
 // must recover to healthy through the probe path. The whole test runs under
-// checkNoLeak: a stranded hedge attempt or watchdog is a failure.
+// leakcheck.Check: a stranded hedge attempt or watchdog is a failure.
 func TestServeChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak is a long test")
 	}
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		const seed = 20260808 // pinned: rerun failures byte-for-byte
 
 		fa := buildDebuggee(t)

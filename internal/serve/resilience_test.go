@@ -13,6 +13,7 @@ import (
 	"duel/internal/core"
 	"duel/internal/fakedbg"
 	"duel/internal/faultdbg"
+	"duel/internal/leakcheck"
 	"duel/internal/memio"
 )
 
@@ -49,7 +50,7 @@ func (d *flakyTarget) disarm() {
 // ErrDeadlineExceeded before the worker builds a session or touches the
 // target lock.
 func TestDeadlineExpiresInQueue(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 		clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 		var factoryCalls atomic.Int64
@@ -103,7 +104,7 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 // *core.CanceledError with the context cause intact through the whole
 // serve → session → core chain.
 func TestCanceledMidEvalSurfacesCause(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 		srv := New(Config{Workers: 1})
 		srv.Register("t", f)
@@ -150,7 +151,7 @@ func TestCanceledMidEvalSurfacesCause(t *testing.T) {
 // is spent to exhaustion is re-run once at the serve layer under the retry
 // budget, and the caller never sees the fault.
 func TestServeRetryAbsorbsExhaustedTransient(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		// Four straight transient failures exhaust memio's default
 		// schedule (1 try + 3 retries) on the first attempt's first read;
 		// the serve-layer re-run then sees a healthy target.
@@ -185,7 +186,7 @@ func TestServeRetryAbsorbsExhaustedTransient(t *testing.T) {
 // TestRetryBudgetBounded: when the bucket is dry, failures surface instead
 // of spawning more attempts — retries cannot storm a degraded target.
 func TestRetryBudgetBounded(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		flaky := &flakyTarget{Fake: buildDebuggee(t), failN: -1}
 		srv := New(Config{
 			Workers: 1,
@@ -241,7 +242,7 @@ func hedgedFixture(t *testing.T, f *fakedbg.Fake, cfg Config) *Server {
 // hedge fires after the pinned delay, wins, and delivers the full result —
 // while the pair still counts as exactly one admission and one completion.
 func TestHedgedReadWins(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 		want, wantErr := sesExec(t, f, "x[..10]")
 		if wantErr != "<nil>" {
@@ -276,7 +277,7 @@ func TestHedgedReadWins(t *testing.T) {
 // caller, but the hedge attempt is refused at classification time and the
 // write executes exactly once.
 func TestHedgeRefusesMutatingQuery(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 		srv := hedgedFixture(t, f, Config{
 			Workers: 2,
@@ -342,7 +343,7 @@ func driveHealth(t *testing.T, srv *Server, want HealthState) {
 // target sheds mutating queries with ErrBrownout while read-only queries
 // keep being served, and recovers to healthy once reads succeed again.
 func TestBrownoutShedsWritesServesReads(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		srv, flaky, _ := healthFixture(t)
 		defer func() {
 			if err := srv.Shutdown(context.Background()); err != nil {
@@ -388,7 +389,7 @@ func TestBrownoutShedsWritesServesReads(t *testing.T) {
 // by 7/8, so it browns out on the 6th failure ((7/8)^6 < 0.5) and
 // quarantines on the 11th ((7/8)^11 < 0.25).
 func TestQuarantineTripPoints(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		srv, _, _ := healthFixture(t)
 		defer func() {
 			if err := srv.Shutdown(context.Background()); err != nil {
@@ -427,7 +428,7 @@ func TestQuarantineTripPoints(t *testing.T) {
 // failed probe keeps the quarantine for another full interval, and one
 // clean probe restores service.
 func TestQuarantineProbeReadmission(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		srv, flaky, clk := healthFixture(t)
 		defer func() {
 			if err := srv.Shutdown(context.Background()); err != nil {
@@ -503,7 +504,7 @@ func TestQuarantineProbeReadmission(t *testing.T) {
 // attempts of every in-flight pair, and Completed never exceeds Admitted at
 // any observable moment — mid-storm, mid-drain, or after.
 func TestShutdownDrainsHedgedPairs(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 
 		// Phase A — exactly-once accounting: every query hedges (the
@@ -541,7 +542,7 @@ func TestShutdownDrainsHedgedPairs(t *testing.T) {
 
 		// Phase B — drain under fire: slow sessions keep pairs in flight
 		// while Shutdown drains, a poller watches the invariant live, and
-		// the drain must collect both halves of every pair (checkNoLeak
+		// the drain must collect both halves of every pair (leakcheck.Check
 		// around the whole test catches a stranded loser).
 		srv = hedgedFixture(t, f, Config{
 			Workers: 4,

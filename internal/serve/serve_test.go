@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +16,7 @@ import (
 	"duel/internal/dbgif"
 	"duel/internal/fakedbg"
 	"duel/internal/faultdbg"
+	"duel/internal/leakcheck"
 	"duel/internal/mem"
 )
 
@@ -129,28 +129,6 @@ func sesExec(t *testing.T, d dbgif.Debugger, src string) (string, string) {
 	return buf.String(), fmt.Sprint(err)
 }
 
-// checkNoLeak mirrors internal/core/chan_leak_test.go: run fn, then assert
-// the goroutine count settles back near the starting level.
-func checkNoLeak(t *testing.T, fn func()) {
-	t.Helper()
-	before := runtime.NumGoroutine()
-	fn()
-	runtime.GC()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
-				before, n, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestServerDifferentialParity holds the server path to session semantics:
 // running the 39-query parity suite in order through Server.Exec must
 // produce byte-identical output (and identical error text) to fresh
@@ -158,7 +136,7 @@ func checkNoLeak(t *testing.T, fn func()) {
 // the read-only subset is blasted concurrently and every answer must still
 // match. Run under -race this is the concurrency audit of the whole stack.
 func TestServerDifferentialParity(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		ref := buildDebuggee(t)
 		srvTarget := buildDebuggee(t)
 		srv := New(Config{Workers: 4})
@@ -275,7 +253,7 @@ func TestServerDifferentialParity(t *testing.T) {
 // the next query must shed immediately with ErrOverloaded — not block, not
 // deadlock.
 func TestOverloadSheds(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 		started := make(chan struct{}, 8)
 		release := make(chan struct{})
@@ -353,7 +331,7 @@ func (c *fakeClock) advance(d time.Duration) {
 // the admitted queries, refuses later ones with ErrDraining, and leaks
 // nothing.
 func TestShutdownDrainsCleanly(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 		srv := New(Config{Workers: 2})
 		srv.Register("t", f)
@@ -382,7 +360,7 @@ func TestShutdownDrainsCleanly(t *testing.T) {
 // *core.CanceledError, Shutdown returns the context error, and no
 // goroutine survives.
 func TestShutdownCancelsAtDeadline(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 		inj := faultdbg.New(f, faultdbg.Plan{
 			Rates: map[faultdbg.Kind]float64{faultdbg.CallHang: 1},
@@ -431,7 +409,7 @@ func TestShutdownCancelsAtDeadline(t *testing.T) {
 // stays responsive all the way down — and the drain still completes at its
 // deadline without leaking.
 func TestShedWhileDraining(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 		inj := faultdbg.New(f, faultdbg.Plan{
 			Rates: map[faultdbg.Kind]float64{faultdbg.CallHang: 1},
@@ -488,7 +466,7 @@ func TestShedWhileDraining(t *testing.T) {
 // context revokes a query wedged in a hanging call, without shutting the
 // server down.
 func TestCallerCancelRevokesQuery(t *testing.T) {
-	checkNoLeak(t, func() {
+	leakcheck.Check(t, func() {
 		f := buildDebuggee(t)
 		inj := faultdbg.New(f, faultdbg.Plan{
 			Rates: map[faultdbg.Kind]float64{faultdbg.CallHang: 1},

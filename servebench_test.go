@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -192,11 +193,11 @@ func serveThroughput(t testing.TB, srv *serve.Server, workers int, d time.Durati
 }
 
 // hedgeServer stands up a server like benchServer with hedging configured.
-// The hedge delay is pinned far above the query's actual latency, so on a
+// Callers pin the hedge delay far above the query's actual latency, so on a
 // healthy target the hedge timer never fires: what these measurements see is
 // the pure happy-path cost of the hedging machinery (the timer, the private
 // result buffer, the winner replay).
-func hedgeServer(b testing.TB, workers int, hedge bool) *serve.Server {
+func hedgeServer(b testing.TB, workers int, hedge bool, delay time.Duration) *serve.Server {
 	b.Helper()
 	d, err := scenarios.BuildIntArray(256, func(i int) int64 { return int64(i%7) - 3 })
 	if err != nil {
@@ -208,7 +209,7 @@ func hedgeServer(b testing.TB, workers int, hedge bool) *serve.Server {
 		Workers:    workers,
 		QueueDepth: 4 * workers,
 		Session:    opts,
-		Hedge:      serve.HedgeConfig{Enabled: hedge, Delay: 50 * time.Millisecond},
+		Hedge:      serve.HedgeConfig{Enabled: hedge, Delay: delay},
 	})
 	srv.Register("bench", d)
 	b.Cleanup(func() {
@@ -229,7 +230,7 @@ func BenchmarkServeHedgedRead(b *testing.B) {
 	for _, hedge := range []bool{false, true} {
 		b.Run(fmt.Sprintf("hedge=%v", hedge), func(b *testing.B) {
 			const workers = 4
-			srv := hedgeServer(b, workers, hedge)
+			srv := hedgeServer(b, workers, hedge, 50*time.Millisecond)
 			ctx := context.Background()
 			if _, err := srv.Eval(ctx, "bench", benchServeQuery); err != nil {
 				b.Fatal(err)
@@ -408,15 +409,73 @@ func BenchmarkServeStream(b *testing.B) {
 	b.ReportMetric(float64(values.Load())/float64(b.N), "values/op")
 }
 
-// TestHedgeHappyPathOverhead keeps the hedging machinery honest: with the
-// hedge timer pinned far above the query latency, enabling hedging must not
-// cost read throughput. The acceptance bar is 5% on an idle host; the
-// assertion leaves margin below it so a loaded CI neighbor cannot flake the
-// build while a real regression (a hedge that always fires, a serializer on
-// the hedge path) still fails decisively.
+// TestHedgeHappyPathOverhead keeps the hedging machinery honest without a
+// clock: with the hedge delay far above any query's latency, the hedge
+// timer never fires on a healthy target (no hedge is enqueued, none wins),
+// a hedged read takes the target lock exactly as often as a plain one, and
+// it allocates at most a fixed few objects more. Counting instead of timing
+// makes the check deterministic on a loaded host; the wall-clock throughput
+// ratio is TestHedgeHappyPathThroughput, which runs in the CI bench job.
 func TestHedgeHappyPathOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("overhead measurement: skipped under -short")
+	// A hedge fires only if one query outlasts the delay; a minute is out
+	// of reach even for a starved test binary.
+	const delay = time.Minute
+	// What the hedged path may allocate per query on top of the plain one:
+	// its attempt, timer, result buffer and winner replay.
+	const maxExtraAllocs = 20
+	const runs = 200
+	off := hedgeServer(t, 1, false, delay)
+	on := hedgeServer(t, 1, true, delay)
+	offAllocs, offLocks := hedgeHappyPath(t, off, runs)
+	onAllocs, onLocks := hedgeHappyPath(t, on, runs)
+	t.Logf("per query: hedge=off %.1f allocs %.2f locks, hedge=on %.1f allocs %.2f locks",
+		offAllocs, offLocks, onAllocs, onLocks)
+	if st := on.Stats(); st.Hedged != 0 || st.HedgeWins != 0 {
+		t.Errorf("hedge fired on the happy path: Hedged=%d HedgeWins=%d, want 0 and 0", st.Hedged, st.HedgeWins)
+	}
+	if onLocks != offLocks {
+		t.Errorf("target locks/op: hedge=on %.2f, hedge=off %.2f; hedging must not add lock traffic", onLocks, offLocks)
+	}
+	if extra := onAllocs - offAllocs; extra > maxExtraAllocs {
+		t.Errorf("hedging allocates %.1f objects/op more than plain reads (%.1f vs %.1f), bound %d",
+			extra, onAllocs, offAllocs, maxExtraAllocs)
+	}
+}
+
+// hedgeHappyPath runs runs sequential read queries through srv after a
+// warm-up and returns what one query cost in heap allocations and
+// target-lock acquisitions.
+func hedgeHappyPath(t *testing.T, srv *serve.Server, runs int) (allocs, locks float64) {
+	t.Helper()
+	ctx := context.Background()
+	eval := func() {
+		if _, err := srv.Eval(ctx, "bench", benchServeQuery); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		eval()
+	}
+	locks0 := srv.Stats().TargetLocks
+	allocs = testing.AllocsPerRun(runs, eval)
+	// AllocsPerRun makes one extra, untimed call before its runs.
+	locks = float64(srv.Stats().TargetLocks-locks0) / float64(runs+1)
+	return allocs, locks
+}
+
+// TestHedgeHappyPathThroughput is the wall-clock side of the hedging
+// check: with the hedge timer pinned far above the query latency, enabling
+// hedging must not cost read throughput. The acceptance bar is 5% on an
+// idle host; the assertion leaves margin below it so a noisy neighbor
+// cannot flake the build while a real regression (a hedge that always
+// fires, a serializer on the hedge path) still fails decisively. A
+// throughput ratio needs the CPUs to itself, so the test runs only when
+// DUEL_TIMING_TESTS is set, as the CI bench job does:
+//
+//	DUEL_TIMING_TESTS=1 go test -count=1 -run TestHedgeHappyPathThroughput .
+func TestHedgeHappyPathThroughput(t *testing.T) {
+	if os.Getenv("DUEL_TIMING_TESTS") == "" {
+		t.Skip("wall-clock comparison: set DUEL_TIMING_TESTS=1 (the CI bench job does)")
 	}
 	if raceEnabled {
 		t.Skip("overhead measurement: skipped under -race")
@@ -425,8 +484,8 @@ func TestHedgeHappyPathOverhead(t *testing.T) {
 		t.Skipf("overhead measurement needs >=2 CPUs, have GOMAXPROCS=%d", p)
 	}
 	const window = 300 * time.Millisecond
-	base := serveThroughput(t, hedgeServer(t, 4, false), 4, window)
-	hedged := serveThroughput(t, hedgeServer(t, 4, true), 4, window)
+	base := serveThroughput(t, hedgeServer(t, 4, false, 50*time.Millisecond), 4, window)
+	hedged := serveThroughput(t, hedgeServer(t, 4, true, 50*time.Millisecond), 4, window)
 	ratio := hedged / base
 	t.Logf("read-only throughput: hedge=off %.0f q/s, hedge=on %.0f q/s (%.2fx)", base, hedged, ratio)
 	if ratio < 0.80 {
